@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,57 +10,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
-
-// Regression for the snapshot-name scheme: writing more than 26 snapshots
-// in one day must neither collide nor mis-sort in the CI gate's
-// newest-snapshot selection (`ls BENCH_*.json | sort | tail -1`). The old
-// scheme panicked at the 27th snapshot; the fix extends the suffix with
-// another letter ("z" -> "zb" -> ... -> "zz" -> "zzb"), which stays
-// lexicographically increasing because '.' sorts before any letter.
-func TestSnapshotSuffixSortsChronologically(t *testing.T) {
-	t.Chdir(t.TempDir())
-	const n = 60 // two overflow levels past the 26-per-day boundary
-	var names []string
-	seen := make(map[string]bool)
-	for k := 0; k < n; k++ {
-		name := snapshotName("2026-07-29")
-		if seen[name] {
-			t.Fatalf("snapshot %d collides: %s", k, name)
-		}
-		seen[name] = true
-		names = append(names, name)
-		if err := os.WriteFile(name, []byte("{}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	for i := range names {
-		if names[i] != sorted[i] {
-			t.Fatalf("creation order and sort order diverge at %d: created %s, sorted %s", i, names[i], sorted[i])
-		}
-	}
-	// The gate picks the newest: the last-written snapshot must win the
-	// sort.
-	if sorted[len(sorted)-1] != names[n-1] {
-		t.Fatalf("newest snapshot is %s but sort picks %s", names[n-1], sorted[len(sorted)-1])
-	}
-}
-
-func TestSnapshotSuffixShape(t *testing.T) {
-	cases := []struct {
-		k    int
-		want string
-	}{
-		{0, ""}, {1, "b"}, {2, "c"}, {25, "z"},
-		{26, "zb"}, {50, "zz"}, {51, "zzb"}, {75, "zzz"}, {76, "zzzb"},
-	}
-	for _, c := range cases {
-		if got := snapshotSuffix(c.k); got != c.want {
-			t.Errorf("snapshotSuffix(%d) = %q, want %q", c.k, got, c.want)
-		}
-	}
-}
 
 // -checkpoint-gc must refuse while another process (here: another
 // goroutine's shared lock, same flock semantics) is mid-restore on the

@@ -161,14 +161,6 @@ func (d *Directory) Protocol() Protocol { return d.protocol }
 // Entries returns the number of tracked lines.
 func (d *Directory) Entries() int { return d.entries.size() }
 
-// PrefetchLine warms the line's home slot in the directory's line table
-// ahead of the real probe (host-side only; no simulated state changes).
-// The returned slot word must be sunk by the caller so the load survives
-// optimization.
-func (d *Directory) PrefetchLine(line mem.LineAddr) uint64 {
-	return d.entries.prefetchHome(line)
-}
-
 func (d *Directory) check(core int) {
 	if core < 0 || core >= d.cores {
 		panic(fmt.Sprintf("coherence: core %d outside [0,%d)", core, d.cores))

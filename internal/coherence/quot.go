@@ -124,18 +124,6 @@ func (t *quotTable[V]) bytesPerSlot() int { return 8 }
 // compares the slot's upper 40 bits (fingerprint|displacement) against an
 // expected value that simply increments per step: at probe distance d the
 // matching slot must hold exactly fp<<dispBits | d.
-// prefetchHome touches the line's home slot, pulling its cache line
-// toward the host core ahead of the real probe, and returns the slot word
-// so callers can sink it (defeating dead-load elimination). Read-only: no
-// simulated state changes.
-func (t *quotTable[V]) prefetchHome(line mem.LineAddr) uint64 {
-	tag := uint64(line) / mem.LineSize
-	if tag > quotKeyMask {
-		return 0
-	}
-	return t.slots[quotMix(tag)>>t.shift]
-}
-
 func (t *quotTable[V]) find(line mem.LineAddr) *uint64 {
 	tag := uint64(line) / mem.LineSize
 	if tag > quotKeyMask {

@@ -168,8 +168,12 @@ func TestQuotStoreKindGates(t *testing.T) {
 	if QuotTable.String() != "quot-table" {
 		t.Fatalf("StoreKind name %q", QuotTable.String())
 	}
-	if QuotTable.BytesPerSlot() != 8 || OpenTable.BytesPerSlot() != 16 || MapStore.BytesPerSlot() != 0 {
-		t.Fatal("BytesPerSlot wrong")
+	for kind, want := range map[StoreKind]int{QuotTable: 8, OpenTable: 16, MapStore: 0} {
+		dir := NewDirectoryWithStore(16, MOESI, kind).BytesPerSlot()
+		snoop := NewSnoopFilterWithStore(16, kind).BytesPerSlot()
+		if dir != want || snoop != want {
+			t.Fatalf("%v BytesPerSlot: directory %d, snoop filter %d, want %d", kind, dir, snoop, want)
+		}
 	}
 	if DefaultStore(16) != QuotTable || DefaultStore(17) != OpenTable {
 		t.Fatal("DefaultStore split wrong")

@@ -84,12 +84,6 @@ func NewSnoopFilterWithStore(cores int, kind StoreKind) *SnoopFilter {
 // BytesPerSlot reports the inline footprint of one line-table slot.
 func (f *SnoopFilter) BytesPerSlot() int { return f.entries.bytesPerSlot() }
 
-// PrefetchLine warms the line's home slot in the filter's line table ahead
-// of the real probe (host-side only; callers must sink the returned word).
-func (f *SnoopFilter) PrefetchLine(line mem.LineAddr) uint64 {
-	return f.entries.prefetchHome(line)
-}
-
 func (f *SnoopFilter) check(core int) {
 	if core < 0 || core >= f.cores {
 		panic(fmt.Sprintf("coherence: core %d outside [0,%d)", core, f.cores))

@@ -70,19 +70,6 @@ func (k StoreKind) String() string {
 	}
 }
 
-// BytesPerSlot reports the inline bytes one slot of the kind's table
-// occupies (0 for the map reference, whose layout is runtime-managed).
-func (k StoreKind) BytesPerSlot() int {
-	switch k {
-	case QuotTable:
-		return 8
-	case OpenTable:
-		return 16
-	default:
-		return 0
-	}
-}
-
 // DefaultStore returns the store kind the default constructors use: the
 // quotient-compressed table where its sharer-mask budget allows, else the
 // full-key open table.
@@ -122,18 +109,6 @@ func newHotStore[V lineValue[V]](kind StoreKind) hotStore[V] {
 	fast, _ := s.(*openTable[V])
 	fastQ, _ := s.(*quotTable[V])
 	return hotStore[V]{lineStore: s, fast: fast, fastQ: fastQ}
-}
-
-// prefetchHome warms the line's home slot in the underlying table (a
-// no-op returning 0 for the map reference, whose layout is opaque).
-func (h hotStore[V]) prefetchHome(line mem.LineAddr) uint64 {
-	if h.fastQ != nil {
-		return h.fastQ.prefetchHome(line)
-	}
-	if h.fast != nil {
-		return h.fast.prefetchHome(line)
-	}
-	return 0
 }
 
 func (h hotStore[V]) get(line mem.LineAddr) (V, bool) {
@@ -280,12 +255,6 @@ func tableKey(line mem.LineAddr) uint64 { return uint64(line) + 1 }
 // table's index bits.
 func home(key, mask uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> 32 & mask
-}
-
-// prefetchHome touches the line's home slot ahead of the real probe (see
-// quotTable.prefetchHome).
-func (t *openTable[V]) prefetchHome(line mem.LineAddr) uint64 {
-	return t.slots[home(tableKey(line), t.mask)].key
 }
 
 func (t *openTable[V]) size() int         { return t.n + t.oldN }

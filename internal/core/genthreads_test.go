@@ -77,32 +77,3 @@ func TestGenThreadsCloseReleasesProducers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// TestPrefetchBitIdentical forces the home-slot prefetcher on (the
-// footprint gate normally keeps it off at test scales) and requires
-// identical Metrics: PrefetchLine is a host-side read, never a simulated
-// state change.
-func TestPrefetchBitIdentical(t *testing.T) {
-	for _, kind := range []Kind{Baseline, SILO} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			run := func(prefetch bool) Metrics {
-				sys := NewSystem(quickConfig(kind), []workload.Spec{workload.WebSearch()})
-				sys.WarmFunctional(20000)
-				if prefetch {
-					for _, c := range sys.cores {
-						if !c.EnablePrefetch() {
-							t.Fatal("adapter does not implement BatchPrefetcher")
-						}
-					}
-				}
-				return sys.Run(2000, 10000)
-			}
-			want := run(false)
-			got := run(true)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("prefetch changed simulation results:\ngot  %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}

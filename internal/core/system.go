@@ -49,9 +49,6 @@ type System struct {
 	cores   []*cpu.Core
 	sources []workload.Source
 	started bool
-	// prefetch opts the timed phase into the home-slot batch prefetcher
-	// (EnablePrefetch); off by default — see the method comment.
-	prefetch bool
 	// producers feed the cores' SPSC op rings during the timed phase when
 	// cfg.GenThreads > 0; nil on the synchronous path. Owned by startCores,
 	// released by Close.
@@ -166,28 +163,9 @@ func (a *coreAdapter) Data(core int, addr mem.Addr, write, rwShared, independent
 // on every simulated access.
 type privateCoreAdapter struct {
 	hier *privateHierarchy
-	// pfSink accumulates the slot words PrefetchBatch reads so the
-	// compiler cannot eliminate the warming loads. Per-adapter (one
-	// adapter per core), so concurrent grid cells never share it.
-	pfSink uint64
 }
 
 var _ cpu.Hierarchy = (*privateCoreAdapter)(nil)
-var _ cpu.BatchPrefetcher = (*privateCoreAdapter)(nil)
-
-// PrefetchBatch warms the directory's home slots for the batch's memory
-// ops (the coherence-store prefetch satellite, DESIGN.md §12): by the
-// time the issue loop probes the directory, the slot's cache line is
-// already in flight. Host-side only — no simulated state changes.
-func (a *privateCoreAdapter) PrefetchBatch(_ int, ops []workload.Op) {
-	sink := a.pfSink
-	for i := range ops {
-		if op := &ops[i]; op.IsMem() {
-			sink ^= a.hier.dir.PrefetchLine(op.Addr().Line())
-		}
-	}
-	a.pfSink = sink
-}
 
 func (a *privateCoreAdapter) IFetch(core int, line mem.LineAddr, jump bool) (sim.Cycle, bool) {
 	lat, hit := a.hier.ifetch(core, line, jump, true)
@@ -200,24 +178,10 @@ func (a *privateCoreAdapter) Data(core int, addr mem.Addr, write, rwShared, inde
 }
 
 type sharedCoreAdapter struct {
-	hier   *sharedHierarchy
-	pfSink uint64 // see privateCoreAdapter.pfSink
+	hier *sharedHierarchy
 }
 
 var _ cpu.Hierarchy = (*sharedCoreAdapter)(nil)
-var _ cpu.BatchPrefetcher = (*sharedCoreAdapter)(nil)
-
-// PrefetchBatch warms the snoop filter's home slots for the batch's
-// memory ops (see privateCoreAdapter.PrefetchBatch).
-func (a *sharedCoreAdapter) PrefetchBatch(_ int, ops []workload.Op) {
-	sink := a.pfSink
-	for i := range ops {
-		if op := &ops[i]; op.IsMem() {
-			sink ^= a.hier.snoop.PrefetchLine(op.Addr().Line())
-		}
-	}
-	a.pfSink = sink
-}
 
 func (a *sharedCoreAdapter) IFetch(core int, line mem.LineAddr, jump bool) (sim.Cycle, bool) {
 	lat, hit := a.hier.ifetch(core, line, jump, true)
@@ -310,26 +274,9 @@ func (s *System) warmRing(instrPerCore int) {
 	ps.Close()
 }
 
-// prefetchMinTableBytes gates the coherence home-slot prefetch on the
-// line-table footprint at timing start: under it the table lives in the
-// host LLC and the extra prefetch work is pure overhead.
-const prefetchMinTableBytes = 16 << 20
-
-// EnablePrefetch opts the system into the coherence home-slot batch
-// prefetcher at timing start, still subject to the footprint gate. It is
-// opt-in rather than a default because measured at Scale 4 on the dev
-// host (line table ~30 MB, well past the gate) it *regressed* throughput
-// by 10-15%: Go has no non-binding prefetch hint, so PrefetchBatch's
-// demand loads serialize at refill and the quotMix hashing outweighs the
-// memory-level-parallelism win. The mechanism stays bit-identical
-// (TestPrefetchBitIdentical) for hosts where the trade flips.
-func (s *System) EnablePrefetch() { s.prefetch = true }
-
 // startCores transitions the system into the timed phase: unbudgeted
-// producers and per-core rings when cfg.GenThreads > 0, the home-slot
-// prefetcher when opted in and the (post-warm-up) line table outgrows the
-// host caches, then the cores themselves. Idempotent; shared by Run and
-// StreamWindows.
+// producers and per-core rings when cfg.GenThreads > 0, then the cores
+// themselves. Idempotent; shared by Run and StreamWindows.
 func (s *System) startCores() {
 	if s.started {
 		return
@@ -338,12 +285,6 @@ func (s *System) startCores() {
 		s.producers = workload.StartProducers(s.sources, s.cfg.GenThreads, -1)
 		for i, c := range s.cores {
 			c.AttachRing(s.producers.Ring(i))
-		}
-	}
-	if entries, bytesPerSlot := s.hier.lineTable(); s.prefetch &&
-		int64(entries)*int64(bytesPerSlot) >= prefetchMinTableBytes {
-		for _, c := range s.cores {
-			c.EnablePrefetch()
 		}
 	}
 	for _, c := range s.cores {
@@ -396,7 +337,7 @@ func (s *System) Run(warmCycles, measureCycles sim.Cycle) Metrics {
 func (s *System) CheckInvariants() string { return s.hier.check() }
 
 // LineTable reports the coherence line-table occupancy — live entries and
-// inline bytes per slot — so scale probes can record the table regime
+// inline bytes per slot — so benchmarks can record the table regime
 // they measured (the multi-GB paper-scale footprints the compact-slot
 // stores target, DESIGN.md §8).
 func (s *System) LineTable() (entries, bytesPerSlot int) { return s.hier.lineTable() }

@@ -59,16 +59,6 @@ func DefaultConfig() Config { return Config{Width: 3, Burst: 48} }
 // measurably evicts the simulator's own hot arrays on every quantum.
 const opBatch = 16
 
-// BatchPrefetcher is implemented by hierarchies that can warm their home
-// slots for a batch of upcoming ops (the coherence-store home-slot
-// prefetch, DESIGN.md §12): the core hands over each freshly refilled
-// batch before issuing it, so the store's hash-home cache lines are in
-// flight while the preceding ops execute. Purely a host-side hint — it
-// must not change simulated state.
-type BatchPrefetcher interface {
-	PrefetchBatch(core int, ops []workload.Op)
-}
-
 // Core drives one workload op source through the hierarchy.
 type Core struct {
 	ID     int
@@ -76,8 +66,7 @@ type Core struct {
 	engine *sim.Engine
 	stream workload.Source
 	path   Hierarchy
-	ring   *workload.Ring  // nil = synchronous NextBatch refills
-	pf     BatchPrefetcher // nil = no home-slot prefetch
+	ring   *workload.Ring // nil = synchronous NextBatch refills
 	mlp    int
 
 	// Pre-generated op batch (stream.NextBatch) the issue loop consumes
@@ -164,16 +153,6 @@ func (c *Core) AttachRing(r *workload.Ring) {
 	c.ring = r
 }
 
-// EnablePrefetch turns on home-slot batch prefetching if the core's
-// hierarchy path supports it, reporting whether it did.
-func (c *Core) EnablePrefetch() bool {
-	if pf, ok := c.path.(BatchPrefetcher); ok {
-		c.pf = pf
-		return true
-	}
-	return false
-}
-
 // computeCycles converts an instruction run into cycles at the issue width.
 func (c *Core) computeCycles(instr int) sim.Cycle {
 	return sim.Cycle((instr + c.cfg.Width - 1) / c.cfg.Width)
@@ -209,9 +188,6 @@ func (c *Core) step() {
 					c.opEnd = c.stream.NextBatch(c.ops)
 				}
 				c.opNext = 0
-				if c.pf != nil {
-					c.pf.PrefetchBatch(c.ID, c.ops[:c.opEnd])
-				}
 			}
 			op = c.ops[c.opNext]
 			c.opNext++

@@ -33,7 +33,7 @@ func TestDistChaosWorkerSIGKILL(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	co, err := NewCoordinator(Config{
-		Grid: testGrid12, Windows: 2, Mode: probeMode(),
+		Grid: testGrid12, Windows: 2, Mode: testMode(),
 		LeaseTTL:        500 * time.Millisecond,
 		LeaseCells:      2,
 		SoloAfter:       -1, // the survivor must finish it, not the coordinator

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,6 +43,13 @@ func TestFig10ParallelMatchesSequential(t *testing.T) {
 		if a.Geomean[si] != b.Geomean[si] {
 			t.Errorf("Geomean[%s]: sequential %v != parallel %v", a.Systems[si], a.Geomean[si], b.Geomean[si])
 		}
+	}
+	// The paper's headline result, pinned to the bit: any change to what
+	// the simulator computes moves it.
+	const siloGeomean = 1.3196591383249325
+	if got := a.SpeedupOf("SILO"); math.Float64bits(got) != math.Float64bits(siloGeomean) {
+		t.Errorf("Quick Fig 10 SILO geomean = %v (bits %#x), want %v (bits %#x)",
+			got, math.Float64bits(got), siloGeomean, math.Float64bits(siloGeomean))
 	}
 }
 

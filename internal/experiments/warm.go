@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 )
 
 // Shared build→Prewarm→WarmFunctional harness (previously copy-pasted
-// between runOne, ThroughputSystemAt and simulateCell) with transparent
-// warm-state checkpointing hung on it (DESIGN.md §11): when a
+// between runOne and simulateCell) with transparent warm-state
+// checkpointing hung on it (DESIGN.md §11): when a
 // checkpoint directory is configured, buildWarm restores a warmed
 // system on key hit — skipping the functional warm-up that dominates
 // paper-scale host cost — and saves one on miss. A restored system is
@@ -31,17 +32,6 @@ type CheckpointStats struct {
 	Misses   atomic.Uint64 // no usable checkpoint; built from scratch
 	Saves    atomic.Uint64 // checkpoints written after a cold build
 	SaveErrs atomic.Uint64 // best-effort saves that failed
-}
-
-// WarmInfo reports how one system was warmed.
-type WarmInfo struct {
-	// Hit is true when the warm state was restored from a checkpoint.
-	Hit bool
-	// RestoreSec is the checkpoint read+restore wall time (Hit only).
-	RestoreSec float64
-	// WarmupSec is the total wall time of the warm phase, whichever path
-	// produced it: cold build+Prewarm+WarmFunctional, or restore.
-	WarmupSec float64
 }
 
 // checkpointKeyConfig normalizes a Config to the fields that determine
@@ -137,13 +127,19 @@ func buildScenarioMeta(cfg core.Config, scen *scenario.Scenario, warmInstr int) 
 	return string(b)
 }
 
+// ckptPathLocks maps a checkpoint path to the *sync.Mutex that
+// buildWarmKeyed holds while it restores, builds or saves that path. It
+// is process-wide because the file it guards is.
+var ckptPathLocks sync.Map
+
 // buildWarm builds a system and brings it to the post-warm-up state:
 // restore from ckptDir on key hit, otherwise NewSystem + Prewarm +
 // WarmFunctional (and a best-effort checkpoint save when ckptDir is
-// set). cs and ph are optional (nil-safe). Every checkpoint failure
-// mode — missing file, torn file, flipped byte, stale version, foreign
-// key, geometry mismatch — falls back to the from-scratch path.
-func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
+// set); the bool reports whether the warm state was restored. cs and ph
+// are optional (nil-safe). Every checkpoint failure mode — missing file,
+// torn file, flipped byte, stale version, foreign key, geometry mismatch
+// — falls back to the from-scratch path.
+func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, bool) {
 	return buildWarmKeyed(
 		func() string { return CheckpointKey(cfg, specs, warmInstr) },
 		func() string { return buildMeta(cfg, specs, warmInstr) },
@@ -158,7 +154,7 @@ func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir st
 // the cold path each compile a fresh source set — a restore that fails
 // partway must not leak half-restored source state into the fallback
 // cold build.
-func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
+func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, bool) {
 	compile := func() []workload.Source {
 		srcs, err := scen.Sources(cfg.Cores, cfg.Scale, cfg.Seed)
 		if err != nil {
@@ -185,14 +181,20 @@ func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, 
 // best-effort-save policy live here once.
 func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.System,
 	restore func(*checkpoint.Reader) (*core.System, error),
-	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, WarmInfo) {
-	var info WarmInfo
-	t0 := time.Now()
+	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, bool) {
 	var key, path string
 	if ckptDir != "" {
 		key = deriveKey()
 		path = CheckpointPath(ckptDir, key)
 		ph.set("restore")
+		// Hold the path's in-process lock across restore, cold build and
+		// save: concurrent cells sharing the key (a latency sweep's
+		// points) then restore the first cell's save instead of each
+		// paying its own cold warm-up.
+		v, _ := ckptPathLocks.LoadOrStore(path, new(sync.Mutex))
+		mu := v.(*sync.Mutex)
+		mu.Lock()
+		defer mu.Unlock()
 		// Shared dir lock for the whole restore: a concurrent
 		// -checkpoint-gc (another worker's maintenance on the shared dir)
 		// must not unlink the file mid-read. Failure to lock degrades to
@@ -207,13 +209,10 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 			r.Close()
 			if rerr == nil {
 				unlock()
-				info.Hit = true
-				info.RestoreSec = time.Since(t0).Seconds()
-				info.WarmupSec = info.RestoreSec
 				if cs != nil {
 					cs.Hits.Add(1)
 				}
-				return sys, info
+				return sys, true
 			}
 		}
 		unlock()
@@ -228,14 +227,12 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 	sys.Prewarm()
 	ph.set("warm")
 	sys.WarmFunctional(warmInstr)
-	info.WarmupSec = time.Since(t0).Seconds()
 
 	if ckptDir != "" {
 		// Best-effort save: a full disk or unwritable dir must not fail
 		// the run that just paid for the warm-up. Concurrent saves of the
-		// same key (grid cells sharing warm state) are benign — each
-		// writes a private temp file and the atomic renames carry
-		// identical bytes.
+		// same key from separate processes are benign — each writes a
+		// private temp file and the atomic renames carry identical bytes.
 		ph.set("checkpoint")
 		// Same shared lock for the save: GC must not prune the directory
 		// (or the freshly renamed file, under an aggressive age cutoff)
@@ -253,5 +250,5 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 			cs.Saves.Add(1)
 		}
 	}
-	return sys, info
+	return sys, false
 }

@@ -27,21 +27,24 @@ func TestBuildWarmMissThenHit(t *testing.T) {
 	specs := []workload.Spec{workload.WebSearch()}
 	var cs CheckpointStats
 
-	cold, coldInfo := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
-	if coldInfo.Hit {
+	cold, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+	if restored {
 		t.Fatal("first build reported a checkpoint hit")
 	}
 	if cs.Misses.Load() != 1 || cs.Saves.Load() != 1 || cs.SaveErrs.Load() != 0 {
 		t.Fatalf("cold counters: %+v", counters(&cs))
 	}
-	key := CheckpointKey(cfg, specs, warmTestInstr)
-	if _, err := os.Stat(CheckpointPath(dir, key)); err != nil {
+	path := CheckpointPath(dir, CheckpointKey(cfg, specs, warmTestInstr))
+	if filepath.Ext(path) != ".ckpt" {
+		t.Fatalf("checkpoint file %s must use the .ckpt extension", path)
+	}
+	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
 
-	warm, warmInfo := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
-	if !warmInfo.Hit || warmInfo.RestoreSec <= 0 {
-		t.Fatalf("second build did not restore: %+v", warmInfo)
+	warm, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+	if !restored {
+		t.Fatal("second build did not restore")
 	}
 	if cs.Hits.Load() != 1 {
 		t.Fatalf("hit counters: %+v", counters(&cs))
@@ -90,8 +93,8 @@ func TestBuildWarmCorruptionFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sys, info := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
-			if info.Hit {
+			sys, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+			if restored {
 				t.Fatal("corrupt checkpoint reported as hit")
 			}
 			if got := sys.Run(2_000, 8_000); !reflect.DeepEqual(want, got) {
@@ -101,8 +104,8 @@ func TestBuildWarmCorruptionFallback(t *testing.T) {
 				t.Fatalf("fallback counters: %+v", counters(&cs))
 			}
 			// The rebuild re-saved over the corrupt file; the next build hits.
-			_, info = buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
-			if !info.Hit {
+			_, restored = buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+			if !restored {
 				t.Fatal("re-saved checkpoint not restored")
 			}
 		})
@@ -166,8 +169,8 @@ func TestBuildWarmSharesAcrossTimingCells(t *testing.T) {
 
 	swept := cfg
 	swept.LLCExtraLatency += 14 // a Fig 2-style latency point
-	sys, info := buildWarm(swept, specs, warmTestInstr, dir, &cs, nil)
-	if !info.Hit {
+	sys, restored := buildWarm(swept, specs, warmTestInstr, dir, &cs, nil)
+	if !restored {
 		t.Fatal("timing-swept cell did not share the checkpoint")
 	}
 	// The restored system must behave as a cold build of the swept config.
@@ -216,33 +219,5 @@ func TestGridWithCheckpointDirByteIdentical(t *testing.T) {
 				t.Fatalf("%s pass record %d diverges:\nwant: %+v\ngot:  %+v", name, i, want[i], r)
 			}
 		}
-	}
-}
-
-// TestPaperScaleProbeCheckpoint: the probe records restore_sec and
-// checkpoint_hit, and the restored probe measures the same system (line
-// table identical; throughput is wall-clock and may differ).
-func TestPaperScaleProbeCheckpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale probe is slow")
-	}
-	dir := t.TempDir()
-	var cs CheckpointStats
-	cold := RunPaperScaleProbeCkpt(64, dir, &cs) // tiny scale keeps the test fast
-	if cold.CheckpointHit || cold.RestoreSec != 0 {
-		t.Fatalf("cold probe point: %+v", cold)
-	}
-	warm := RunPaperScaleProbeCkpt(64, dir, &cs)
-	if !warm.CheckpointHit || warm.RestoreSec <= 0 {
-		t.Fatalf("warm probe point: %+v", warm)
-	}
-	// The probe measures wall-clock-bounded iteration counts, so
-	// post-measurement line-table population is not comparable across
-	// runs; the slot encoding and regime are.
-	if warm.BytesPerSlot != cold.BytesPerSlot || warm.LineTableEntries == 0 {
-		t.Fatalf("restored probe measured a different system shape: %+v vs %+v", warm, cold)
-	}
-	if filepath.Ext(CheckpointPath(dir, "k")) != ".ckpt" {
-		t.Fatal("checkpoint files must use the .ckpt extension")
 	}
 }

@@ -9,9 +9,7 @@ import (
 // WriteFileAtomic replaces path with data via a same-directory temp
 // file + fsync + rename, so a crash at any point leaves either the old
 // complete file or the new complete file — never a truncated hybrid.
-// BENCH_*.json snapshots and -grid output files go through this: the CI
-// baseline gate picks its baseline with `ls | sort | tail -1`, and a
-// torn snapshot there would poison every subsequent build.
+// paperbench -record-trace writes its trace file through this.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

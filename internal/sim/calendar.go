@@ -56,8 +56,6 @@ func newCalendarQueue() *calendarQueue {
 	return c
 }
 
-func (c *calendarQueue) name() string { return CalendarQueue.String() }
-
 func (c *calendarQueue) len() int { return c.windowN + c.overflow.len() }
 
 func (c *calendarQueue) push(ev event) {

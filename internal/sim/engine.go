@@ -70,10 +70,6 @@ func (e *Engine) scheduler() scheduler {
 	return e.sched
 }
 
-// SchedulerName reports the active event-queue implementation (for bench
-// snapshots and diagnostics).
-func (e *Engine) SchedulerName() string { return e.scheduler().name() }
-
 // Now reports the current simulation cycle.
 func (e *Engine) Now() Cycle { return e.now }
 

@@ -16,8 +16,6 @@ func newEventHeap() *eventHeap {
 	return &eventHeap{evs: make([]event, 0, initialHeapCap)}
 }
 
-func (h *eventHeap) name() string { return BinaryHeap.String() }
-
 func (h *eventHeap) len() int { return len(h.evs) }
 
 func (h *eventHeap) popLE(limit Cycle) (event, bool) {

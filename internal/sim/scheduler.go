@@ -44,7 +44,6 @@ type scheduler interface {
 	// ok is false when the queue is empty or the earliest event is later.
 	popLE(limit Cycle) (ev event, ok bool)
 	len() int
-	name() string
 }
 
 func newScheduler(kind SchedulerKind) scheduler {

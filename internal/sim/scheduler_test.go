@@ -12,10 +12,10 @@ func TestSchedulerKindString(t *testing.T) {
 	if CalendarQueue.String() != "calendar-queue" || BinaryHeap.String() != "binary-heap" {
 		t.Fatalf("kind names: %q %q", CalendarQueue, BinaryHeap)
 	}
-	if NewEngine().SchedulerName() != "calendar-queue" {
-		t.Fatalf("default scheduler is %q, want calendar-queue", NewEngine().SchedulerName())
+	if _, ok := NewEngine().scheduler().(*calendarQueue); !ok {
+		t.Fatalf("default scheduler is %T, want the calendar queue", NewEngine().scheduler())
 	}
-	if NewEngineWithScheduler(BinaryHeap).SchedulerName() != "binary-heap" {
+	if _, ok := NewEngineWithScheduler(BinaryHeap).scheduler().(*eventHeap); !ok {
 		t.Fatal("NewEngineWithScheduler ignored the kind")
 	}
 }

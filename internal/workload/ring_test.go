@@ -180,8 +180,7 @@ func TestRingConsumeAllocs(t *testing.T) {
 }
 
 // BenchmarkRingConsume measures the consumer-side cost of the off-thread
-// path per op (generation itself runs on the producer goroutine), the
-// number BENCH gen_overlap contextualizes.
+// path per op (generation itself runs on the producer goroutine).
 func BenchmarkRingConsume(b *testing.B) {
 	st := NewStream(WebSearch(), 0, 16, 32, 0x5EED)
 	ps := StartProducers([]Source{st}, 1, -1)
