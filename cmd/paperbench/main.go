@@ -9,8 +9,9 @@
 // arbitrary (system x workload x config-override) cell grid and streams
 // one JSON-lines record per completed cell to stdout — aggregate IPC,
 // per-window IPC distribution with t-based confidence intervals, hit
-// rates — in deterministic enumeration order at any -parallel level. See
-// grid.go for the spec syntax.
+// rates — in deterministic enumeration order at any -parallel level. The
+// spec syntax is documented with its parser in
+// internal/experiments/gridspec.go.
 package main
 
 import (
@@ -313,76 +314,97 @@ func run(c cliConfig) int {
 // (-cell-deadline), crash-safe journal + resume (-journal/-resume),
 // SIGINT/SIGTERM graceful shutdown, and atomic output (-grid-out).
 func runGrid(c cliConfig, mode experiments.Mode) int {
+	g, opts, code := gridSetup(c, mode, "grid")
+	if code != 0 {
+		return code
+	}
+	if opts.Journal != nil {
+		defer opts.Journal.Close()
+	}
+	return writeSweep(c, "grid", g.Cells(), func(ctx context.Context, emit func(experiments.GridCellResult) bool) error {
+		return experiments.RunGrid(ctx, g, mode, opts, nil, emit)
+	}, nil)
+}
+
+// gridSetup is the set-up -grid and -serve share: it checks the grid
+// flags, compiles the grid, and builds the sweep's options, opening
+// -journal — cleared for a fresh sweep, read back under -resume. tag
+// prefixes its diagnostics. A nonzero code is the exit status to stop
+// with; otherwise the caller owns opts.Journal.
+func gridSetup(c cliConfig, mode experiments.Mode, tag string) (g experiments.GridSpec, opts experiments.GridOptions, code int) {
 	if c.gridConfidence != 0 && (c.gridConfidence <= 0 || c.gridConfidence >= 1) {
-		fmt.Fprintf(os.Stderr, "grid: -grid-confidence %v outside (0,1) — e.g. 0.95, not a percentage\n", c.gridConfidence)
-		return 2
+		fmt.Fprintf(os.Stderr, "%s: -grid-confidence %v outside (0,1) — e.g. 0.95, not a percentage\n", tag, c.gridConfidence)
+		return g, opts, 2
 	}
 	if c.gridWindows < 0 || sim.Cycle(c.gridWindows) > mode.MeasureCycles {
-		fmt.Fprintf(os.Stderr, "grid: -grid-windows %d outside [0, %d] (each window needs at least one of the mode's %d measure cycles)\n",
-			c.gridWindows, mode.MeasureCycles, mode.MeasureCycles)
-		return 2
+		fmt.Fprintf(os.Stderr, "%s: -grid-windows %d outside [0, %d] (each window needs at least one of the mode's %d measure cycles)\n",
+			tag, c.gridWindows, mode.MeasureCycles, mode.MeasureCycles)
+		return g, opts, 2
 	}
 	policy, err := robust.ParseFailPolicy(c.onError)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "grid: -on-error: %v\n", err)
-		return 2
-	}
-	if c.retries < 0 {
-		fmt.Fprintf(os.Stderr, "grid: -retries %d is negative\n", c.retries)
-		return 2
+		fmt.Fprintf(os.Stderr, "%s: -on-error: %v\n", tag, err)
+		return g, opts, 2
 	}
 	if c.resume && c.journal == "" {
-		fmt.Fprintf(os.Stderr, "grid: -resume needs -journal <file> (the journal is what a resumed sweep reads)\n")
-		return 2
+		fmt.Fprintf(os.Stderr, "%s: -resume needs -journal <file> (the journal is what a resumed sweep reads)\n", tag)
+		return g, opts, 2
 	}
-	g, err := parseGridSpec(c.grid, c.gridWindows, c.gridConfidence)
+	g, err = experiments.ParseGridSpec(c.grid, c.gridWindows, c.gridConfidence)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-		return 2
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
+		return g, opts, 2
 	}
 
-	opts := experiments.GridOptions{
+	opts = experiments.GridOptions{
 		OnError:      policy,
 		Retries:      c.retries,
 		Backoff:      robust.Backoff{Base: c.retryBackoff, Cap: 30 * time.Second},
 		CellDeadline: c.cellDeadline,
 		Resume:       c.resume,
 	}
-	if c.journal != "" {
-		j, err := robust.OpenJournal(c.journal)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-			return 1
-		}
-		defer j.Close()
-		if c.resume {
-			if d := j.DroppedBytes(); d > 0 {
-				fmt.Fprintf(os.Stderr, "[grid: journal %s: dropped %d bytes of torn tail]\n", c.journal, d)
-			}
-			fmt.Fprintf(os.Stderr, "[grid: resuming — %d journaled cell(s)]\n", j.Len())
-		} else if err := j.Clear(); err != nil {
-			// Without -resume the sweep starts fresh; stale entries must
-			// not linger (they would match on an identical re-run).
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
-			return 1
-		}
-		opts.Journal = j
+	if c.journal == "" {
+		return g, opts, 0
 	}
+	j, err := robust.OpenJournal(c.journal)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
+		return g, opts, 1
+	}
+	if c.resume {
+		if d := j.DroppedBytes(); d > 0 {
+			fmt.Fprintf(os.Stderr, "[%s: journal %s: dropped %d bytes of torn tail]\n", tag, c.journal, d)
+		}
+		fmt.Fprintf(os.Stderr, "[%s: resuming — %d journaled cell(s)]\n", tag, j.Len())
+	} else if err := j.Clear(); err != nil {
+		// Without -resume the sweep starts fresh; stale entries must
+		// not linger (they would match on an identical re-run).
+		j.Close()
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
+		return g, opts, 1
+	}
+	opts.Journal = j
+	return g, opts, 0
+}
 
-	// SIGINT/SIGTERM cancel the sweep gracefully: workers stop claiming
-	// cells, in-flight cells drain (and journal), emitted output stands.
+// writeSweep runs one sweep of cells records through run and writes
+// them as JSON lines to stdout or, with -grid-out, to a same-directory
+// temp file renamed into place only once the sweep completes, so a crash
+// never leaves a truncated output under the real name. SIGINT/SIGTERM
+// cancel run's context — workers stop claiming cells, in-flight cells
+// drain (and journal), emitted output stands — and exit 130 with a
+// resume hint. On success it prints a summary on stderr, with detail()
+// (nil for none) after the elapsed time, and returns 0.
+func writeSweep(c cliConfig, tag string, cells int, run func(context.Context, func(experiments.GridCellResult) bool) error, detail func() string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	out := os.Stdout
 	tmpName := ""
 	if c.gridOut != "" {
-		// Stream into a same-directory temp file; only a completed sweep
-		// is renamed into place, so a crash never leaves a truncated
-		// output under the real name.
 		tmp, err := os.CreateTemp(filepath.Dir(c.gridOut), filepath.Base(c.gridOut)+".tmp-*")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
 			return 1
 		}
 		out = tmp
@@ -399,7 +421,7 @@ func runGrid(c cliConfig, mode experiments.Mode) int {
 	emitted, failed := 0, 0
 	enc := json.NewEncoder(out)
 	var encErr error
-	err = experiments.RunGridStreamOpts(ctx, g, mode, opts, func(r experiments.GridCellResult) bool {
+	err := run(ctx, func(r experiments.GridCellResult) bool {
 		if encErr = enc.Encode(r); encErr != nil {
 			return false
 		}
@@ -410,7 +432,7 @@ func runGrid(c cliConfig, mode experiments.Mode) int {
 		return true
 	})
 	if encErr != nil {
-		fmt.Fprintf(os.Stderr, "grid: %v\n", encErr)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tag, encErr)
 		return 1
 	}
 	if err != nil {
@@ -419,27 +441,30 @@ func runGrid(c cliConfig, mode experiments.Mode) int {
 			if c.journal != "" {
 				hint = fmt.Sprintf("; journaled progress survives — rerun with -journal %s -resume", c.journal)
 			}
-			fmt.Fprintf(os.Stderr, "grid: interrupted after %d of %d cells%s\n", emitted, g.Cells(), hint)
+			fmt.Fprintf(os.Stderr, "%s: interrupted after %d of %d cells%s\n", tag, emitted, cells, hint)
 			return 130
 		}
-		fmt.Fprintf(os.Stderr, "grid: %v\n", err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
 		return 1
 	}
 	if c.gridOut != "" {
 		if err := out.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
 			return 1
 		}
 		if err := robust.CommitFile(tmpName, c.gridOut); err != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", tag, err)
 			return 1
 		}
 		tmpName = ""
 	}
-	failNote := ""
-	if failed > 0 {
-		failNote = fmt.Sprintf(", %d failed (structured error records)", failed)
+	note := ""
+	if detail != nil {
+		note = detail()
 	}
-	fmt.Fprintf(os.Stderr, "[grid: %d cells in %v%s]\n", g.Cells(), time.Since(start).Round(time.Millisecond), failNote)
+	if failed > 0 {
+		note += fmt.Sprintf(", %d failed (structured error records)", failed)
+	}
+	fmt.Fprintf(os.Stderr, "[%s: %d cells in %v%s]\n", tag, cells, time.Since(start).Round(time.Millisecond), note)
 	return 0
 }

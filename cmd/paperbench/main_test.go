@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // -checkpoint-gc must refuse while another process (here: another
@@ -50,7 +51,7 @@ func TestCheckpointGCRefusesWhileDirInUse(t *testing.T) {
 }
 
 func TestParseGridSpec(t *testing.T) {
-	g, err := parseGridSpec("systems=Baseline,SILO,vaults-sh;workloads=WebSearch,DataServing,SATSolver;overrides=-|scale=64,llc_mb=64", 4, 0.99)
+	g, err := experiments.ParseGridSpec("systems=Baseline,SILO,vaults-sh;workloads=WebSearch,DataServing,SATSolver;overrides=-|scale=64,llc_mb=64", 4, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +101,15 @@ func TestParseGridSpecErrors(t *testing.T) {
 		{"systems=Baseline;scenarios=/nonexistent/spec.yaml", "no such file"},
 	}
 	for _, c := range cases {
-		if _, err := parseGridSpec(c.arg, 0, 0); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("parseGridSpec(%q) error = %v, want containing %q", c.arg, err, c.wantErr)
+		if _, err := experiments.ParseGridSpec(c.arg, 0, 0); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ParseGridSpec(%q) error = %v, want containing %q", c.arg, err, c.wantErr)
 		}
 	}
 }
 
 // Every override key must be accepted and mutate the config it names.
 func TestParseOverrideKeys(t *testing.T) {
-	ov, err := parseOverride("scale=8,cores=4,seed=7,llc_mb=64,llc_ways=8,llc_extra=5,rwmult=2,vault_mb=512,vault_ways=4,l2=true,protocol=mesi")
+	ov, err := experiments.ParseOverride("scale=8,cores=4,seed=7,llc_mb=64,llc_ways=8,llc_extra=5,rwmult=2,vault_mb=512,vault_ways=4,l2=true,protocol=mesi")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestParseOverrideKeys(t *testing.T) {
 		cfg.L2Size == 0 {
 		t.Fatalf("override did not land: %+v", cfg)
 	}
-	off, err := parseOverride("l2=false")
+	off, err := experiments.ParseOverride("l2=false")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,4 +129,52 @@ func TestParseOverrideKeys(t *testing.T) {
 	if cfg.L2Size != 0 {
 		t.Fatalf("l2=false left L2Size=%d", cfg.L2Size)
 	}
+}
+
+// -grid and -serve share one grid-flag check: a negative window count,
+// or more windows than the mode has measure cycles, is a usage error
+// (exit 2) in both modes, reported before anything listens or
+// simulates.
+func TestGridWindowsCheckedInBothModes(t *testing.T) {
+	mode := experiments.Quick()
+	for _, serve := range []string{"", "127.0.0.1:0"} {
+		for _, windows := range []int{-1, int(mode.MeasureCycles) + 1} {
+			c := cliConfig{
+				grid:        "systems=Baseline;workloads=WebSearch",
+				gridWindows: windows,
+				onError:     "fail",
+				serve:       serve,
+				leaseTTL:    200 * time.Millisecond,
+				soloAfter:   time.Millisecond,
+			}
+			runMode := runGrid
+			if serve != "" {
+				runMode = runServe
+			}
+			code, stderr := captureStderr(t, func() int { return runMode(c, mode) })
+			if code != 2 || !strings.Contains(stderr, "-grid-windows") {
+				t.Errorf("serve=%q windows=%d: exit %d, stderr %q; want exit 2 naming -grid-windows", serve, windows, code, stderr)
+			}
+		}
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a temp file and
+// returns f's result with everything it wrote there.
+func captureStderr(t *testing.T, f func() int) (int, string) {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = old }()
+	code := f()
+	b, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(b)
 }

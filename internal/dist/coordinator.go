@@ -133,9 +133,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
 	keys, err := experiments.GridCellKeys(spec, cfg.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -334,7 +331,16 @@ loop:
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	srv.Close()
+	// Shutdown, not Close: a worker is marked told before its handler
+	// writes the reply carrying Done, so the linger above can end while
+	// that reply is in flight. Shutdown lets in-flight handlers finish;
+	// Close would cut the reply and strand the worker retrying a closed
+	// port until MaxOffline.
+	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if srv.Shutdown(sctx) != nil {
+		srv.Close()
+	}
+	scancel()
 	<-serveErr
 
 	switch {
@@ -684,7 +690,7 @@ func (c *Coordinator) maybeStartSolo() {
 }
 
 // soloLoop leases batches from the coordinator's own table and runs
-// them in-process through the same subset executor workers use,
+// them in-process through experiments.RunGrid, as workers do,
 // reporting through the same merge path. It exits when no work is
 // eligible; the monitor restarts it if orphans reappear.
 func (c *Coordinator) soloLoop() {
@@ -704,7 +710,7 @@ func (c *Coordinator) soloLoop() {
 		if grant.Done || len(grant.Indices) == 0 {
 			return
 		}
-		err := experiments.RunGridSubsetOpts(c.ctx, c.spec, c.cfg.Mode, opts, grant.Indices, func(r experiments.GridCellResult) bool {
+		err := experiments.RunGrid(c.ctx, c.spec, c.cfg.Mode, opts, grant.Indices, func(r experiments.GridCellResult) bool {
 			raw, merr := json.Marshal(r)
 			if merr != nil {
 				return false

@@ -53,7 +53,7 @@ func goldenLines(t *testing.T, grid string, windows int) []string {
 		t.Fatal(err)
 	}
 	var lines []string
-	err = experiments.RunGridStreamOpts(context.Background(), g, testMode(), experiments.GridOptions{}, func(r experiments.GridCellResult) bool {
+	err = experiments.RunGrid(context.Background(), g, testMode(), experiments.GridOptions{}, nil, func(r experiments.GridCellResult) bool {
 		b, merr := json.Marshal(r)
 		if merr != nil {
 			t.Error(merr)
@@ -273,7 +273,7 @@ func TestDistDuplicateReportMergesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var raw json.RawMessage
-	err = experiments.RunGridSubsetOpts(ctx, g, testMode(), experiments.GridOptions{}, []int{idx}, func(r experiments.GridCellResult) bool {
+	err = experiments.RunGrid(ctx, g, testMode(), experiments.GridOptions{}, []int{idx}, func(r experiments.GridCellResult) bool {
 		raw, _ = json.Marshal(r)
 		return true
 	})
@@ -366,6 +366,64 @@ func TestDistCoordinatorJournalResume(t *testing.T) {
 		t.Fatalf("worker: %v", werr)
 	}
 	assertSameLines(t, lines, golden)
+}
+
+// slowWriteListener delays every server-side write, holding each reply
+// in flight long after its handler has returned.
+type slowWriteListener struct {
+	net.Listener
+	delay time.Duration
+}
+
+func (l slowWriteListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return slowWriteConn{c, l.delay}, nil
+}
+
+type slowWriteConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowWriteConn) Write(b []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Write(b)
+}
+
+// The coordinator must deliver its last reply before it stops serving.
+// A report marks its worker told before the reply carrying Done is
+// written, so the linger loop can see every worker told while that
+// reply is still in flight; stopping the server then strands the worker
+// retrying a closed port until MaxOffline.
+func TestDistLastReplyDeliveredBeforeShutdown(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	co, err := NewCoordinator(Config{
+		Grid: testGrid4, Windows: 2, Mode: testMode(),
+		LeaseTTL: 5 * time.Second, SoloAfter: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wch := make(chan error, 1)
+	go func() {
+		w := NewWorker(WorkerConfig{URL: "http://" + ln.Addr().String(), ID: "w", Parallelism: 1, MaxOffline: 3 * time.Second})
+		wch <- w.Run(ctx)
+	}()
+	slow := slowWriteListener{ln, 300 * time.Millisecond}
+	if err := co.Run(ctx, slow, func(experiments.GridCellResult) bool { return true }); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if err := <-wch; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
 }
 
 // Graceful degradation: with no worker ever joining, the coordinator

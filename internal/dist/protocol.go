@@ -2,7 +2,8 @@
 // coordinator that partitions a -grid cell grid into lease-based work
 // batches served over a small HTTP+JSON protocol, and a worker client
 // that runs leased cells through the fault-tolerant grid executor
-// (internal/experiments.RunGridSubsetOpts) and streams records back.
+// (internal/experiments.RunGrid, the same entry point a single-process
+// run uses) and streams records back.
 //
 // The coordinator reassembles reports in enumeration order, so the
 // final output is byte-identical to a single-process `paperbench

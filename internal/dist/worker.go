@@ -52,7 +52,7 @@ type WorkerConfig struct {
 }
 
 // Worker pulls lease batches from a coordinator, runs them through the
-// fault-tolerant subset executor, and streams each completed record
+// fault-tolerant grid executor, and streams each completed record
 // back as soon as it exists — a SIGKILL loses at most the in-flight
 // cells of one lease.
 type Worker struct {
@@ -247,7 +247,7 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (done bool, 
 	}()
 
 	var reportErr error
-	runErr := experiments.RunGridSubsetOpts(bctx, w.spec, w.mode, w.opts, lease.Indices, func(r experiments.GridCellResult) bool {
+	runErr := experiments.RunGrid(bctx, w.spec, w.mode, w.opts, lease.Indices, func(r experiments.GridCellResult) bool {
 		raw, merr := json.Marshal(r)
 		if merr != nil {
 			reportErr = merr

@@ -37,8 +37,8 @@ type Mode struct {
 	WarmCycles    sim.Cycle
 	MeasureCycles sim.Cycle
 	Scale         int64
-	// Parallelism bounds RunCells' worker pool: <= 0 uses GOMAXPROCS and 1
-	// forces sequential execution. Results are identical at any setting;
+	// Parallelism bounds the worker pool RunCells and RunGrid share: <= 0
+	// uses GOMAXPROCS and 1 forces sequential execution. Results are identical at any setting;
 	// only wall-clock time changes.
 	Parallelism int
 	// CheckpointDir, when non-empty, enables warm-state checkpointing

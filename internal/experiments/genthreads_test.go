@@ -19,11 +19,11 @@ func TestGridGenThreadsBitIdentical(t *testing.T) {
 	}
 	checkGoroutineLeaks(t)
 	g, m := faultGrid(), faultMode()
-	want := jsonLines(RunGrid(g, m))
+	want := jsonLines(collectGrid(t, g, m))
 	for _, gen := range []int{1, 4} {
 		gm := m
 		gm.GenThreads = gen
-		if got := jsonLines(RunGrid(g, gm)); !bytes.Equal(got, want) {
+		if got := jsonLines(collectGrid(t, g, gm)); !bytes.Equal(got, want) {
 			t.Fatalf("gen-threads=%d grid output diverged from the synchronous path", gen)
 		}
 	}
@@ -72,7 +72,7 @@ func TestGridGenThreadsFaultPathsNoLeak(t *testing.T) {
 	t.Run("cancel-mid-sweep", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		err := RunGridStreamOpts(ctx, g, m, GridOptions{}, func(GridCellResult) bool {
+		err := RunGrid(ctx, g, m, GridOptions{}, nil, func(GridCellResult) bool {
 			n++
 			cancel()
 			return true

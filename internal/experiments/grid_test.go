@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -70,8 +69,8 @@ func TestGridGoldenDeterminism(t *testing.T) {
 	par := gridMode()
 	par.Parallelism = 5
 
-	a := jsonLines(RunGrid(g, seq))
-	b := jsonLines(RunGrid(g, par))
+	a := jsonLines(collectGrid(t, g, seq))
+	b := jsonLines(collectGrid(t, g, par))
 	if !bytes.Equal(a, b) {
 		al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
 		for i := range al {
@@ -98,7 +97,7 @@ func TestGridRecordShape(t *testing.T) {
 		Overrides: []Override{NoOverride(), {Name: "scale=64", Apply: func(c *core.Config) { c.Scale = 64 }}},
 		Windows:   4,
 	}
-	rs := RunGrid(g, gridMode())
+	rs := collectGrid(t, g, gridMode())
 	if len(rs) != 4 {
 		t.Fatalf("got %d records, want 4", len(rs))
 	}
@@ -133,17 +132,6 @@ func TestGridRecordShape(t *testing.T) {
 	if rs[0].Scale != 32 || rs[1].Scale != 64 {
 		t.Fatalf("scale override not applied: %d/%d", rs[0].Scale, rs[1].Scale)
 	}
-	// Streamed and buffered paths agree record-for-record.
-	var streamed []GridCellResult
-	m := gridMode()
-	m.Parallelism = 1
-	RunGridStream(g, m, func(r GridCellResult) bool {
-		streamed = append(streamed, r)
-		return true
-	})
-	if !bytes.Equal(jsonLines(streamed), jsonLines(rs)) {
-		t.Fatal("RunGridStream and RunGrid diverged")
-	}
 }
 
 // A 1-window grid has no variance estimate; its records must still be
@@ -157,12 +145,12 @@ func TestGridSingleWindowEncodes(t *testing.T) {
 		Workloads: []workload.Spec{workload.WebSearch()},
 		Windows:   1,
 	}
-	var buf bytes.Buffer
-	if err := WriteJSONLines(&buf, g, gridMode()); err != nil {
+	b, err := json.Marshal(collectGrid(t, g, gridMode())[0])
+	if err != nil {
 		t.Fatalf("1-window grid failed to encode: %v", err)
 	}
 	var r GridCellResult
-	if err := json.Unmarshal(buf.Bytes(), &r); err != nil {
+	if err := json.Unmarshal(b, &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.IPCStdDev != 0 || r.IPCCILow != r.IPCMean || r.IPCCIHigh != r.IPCMean {
@@ -278,8 +266,8 @@ func TestStreamOrderedCancel(t *testing.T) {
 	}
 }
 
-// A panic inside a grid cell must surface on the caller naming the cell,
-// at any parallelism.
+// A panic inside a grid cell must surface as the sweep's error naming
+// the cell, at any parallelism.
 func TestGridPanicNamesCell(t *testing.T) {
 	g := GridSpec{
 		Systems:   []core.Config{core.BaselineConfig(16)},
@@ -290,18 +278,13 @@ func TestGridPanicNamesCell(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		m := gridMode()
 		m.Parallelism = workers
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("workers=%d: expected panic", workers)
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, "Baseline/WebSearch/cores=0") {
-					t.Fatalf("workers=%d: panic does not name the cell: %v", workers, msg)
-				}
-			}()
-			RunGrid(g, m)
-		}()
+		_, err := collectOpts(t, context.Background(), g, m, GridOptions{})
+		if err == nil {
+			t.Fatalf("workers=%d: expected an error", workers)
+		}
+		if !strings.Contains(err.Error(), "Baseline/WebSearch/cores=0") {
+			t.Fatalf("workers=%d: error does not name the cell: %v", workers, err)
+		}
 	}
 }
 

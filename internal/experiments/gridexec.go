@@ -13,11 +13,11 @@ import (
 )
 
 // Fault-tolerant sweep execution (the robustness layer over grid.go).
-// RunGridStreamOpts wraps the ordered streaming pool with per-cell
-// failure isolation, deterministic retry with capped exponential
-// backoff, a per-cell wall-clock watchdog, and a crash-safe resume
-// journal — the per-shard protocol the ROADMAP's distributed runner
-// will reuse. The determinism contract holds throughout: a retried,
+// RunGrid, the one grid entry point, wraps the ordered streaming pool
+// with per-cell failure isolation, deterministic retry with capped
+// exponential backoff, a per-cell wall-clock watchdog, and a crash-safe
+// resume journal — the per-shard protocol the distributed runner
+// reuses. The determinism contract holds throughout: a retried,
 // resumed, or fault-injected-then-recovered sweep emits records
 // byte-identical (modulo wall_ms) to an uninterrupted run.
 
@@ -53,10 +53,9 @@ type CellError struct {
 }
 
 // GridOptions configures the fault-tolerant execution layer. The zero
-// value reproduces the historical behavior exactly: fail fast, no
-// retries, no watchdog, no journal.
+// value fails fast: no retries, no watchdog, no journal.
 type GridOptions struct {
-	// OnError selects fail-fast (default, historical) or skip-and-record.
+	// OnError selects fail-fast (default) or skip-and-record.
 	OnError robust.FailPolicy
 	// Retries is how many times a panicked or timed-out cell is re-run
 	// (from scratch — attempts are deterministic, so a retry of a
@@ -78,58 +77,29 @@ type GridOptions struct {
 	Injector *robust.Injector
 }
 
-// RunGridStreamOpts is RunGridStream with fault tolerance: it validates
-// instead of panicking, threads ctx through the worker pool (cancel for
-// graceful shutdown — in-flight cells drain, partial output stands, the
-// journal keeps everything completed), and applies opts. Under FailFast
-// a permanently failed cell aborts the sweep with an error naming the
-// cell; under SkipFailed it becomes one structured error record and the
-// sweep continues. Returns ctx.Err() when cancelled.
-func RunGridStreamOpts(ctx context.Context, g GridSpec, m Mode, opts GridOptions, emit func(GridCellResult) bool) (err error) {
-	return runGridIndexed(ctx, g, m, opts, nil, emit)
-}
-
-// RunGridSubsetOpts is the shard executor seam of the distributed
-// runner (DESIGN.md §13): it executes only the named cell indices —
-// one worker's lease batch — under the same fault-tolerance options as
-// RunGridStreamOpts, emitting results in the order indices are given.
-// Every index must be in [0, g.Cells()); journal keys are the same
+// RunGrid executes the grid under mode m and opts, invoking emit once
+// per completed cell, in order and on the calling goroutine. indices
+// names the cells to run: nil runs the whole grid in enumeration order;
+// the distributed runner passes one lease batch (DESIGN.md §13) and
+// gets records back in the order given. Journal keys are the same
 // content hashes a whole-grid run derives, so per-shard journals merge
 // idempotently with each other and with a single-process journal.
-func RunGridSubsetOpts(ctx context.Context, g GridSpec, m Mode, opts GridOptions, indices []int, emit func(GridCellResult) bool) error {
-	return runGridIndexed(ctx, g, m, opts, indices, emit)
-}
-
-// GridCellKeys derives every cell's journal key — the content hash a
-// completed record is stored and deduplicated under. A distributed
-// coordinator uses these to merge shard reports idempotently (a cell
-// completed twice emits once) and to resume from its own journal
-// without re-deriving cells.
-func GridCellKeys(g GridSpec, m Mode) ([]string, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
+//
+// Cells run concurrently on m.Parallelism workers (streamOrdered), and
+// emission order and every record field except WallMS are identical at
+// any parallelism. The zero opts fail fast: a permanently failed cell
+// aborts the sweep with an error naming the cell. Under SkipFailed it
+// becomes one structured error record and the sweep continues. emit
+// returning false stops the sweep: no further cells are simulated.
+// Cancelling ctx is graceful shutdown — in-flight cells drain, the
+// journal keeps everything completed — and RunGrid returns ctx.Err().
+// A misconfigured grid or an index outside [0, g.Cells()) is returned
+// as an error before anything simulates.
+func RunGrid(ctx context.Context, g GridSpec, m Mode, opts GridOptions, indices []int, emit func(GridCellResult) bool) (err error) {
+	if err := g.check(m); err != nil {
+		return err
 	}
-	cells := g.normalized().enumerate(m)
-	ex := &cellExecutor{m: m}
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = ex.key(c)
-	}
-	return keys, nil
-}
-
-// runGridIndexed is the shared execution core: run the cells named by
-// indices (nil = all, in enumeration order) under opts, emitting in
-// the order given.
-func runGridIndexed(ctx context.Context, g GridSpec, m Mode, opts GridOptions, indices []int, emit func(GridCellResult) bool) (err error) {
-	if verr := g.Validate(); verr != nil {
-		return verr
-	}
-	gn := g.normalized()
-	if m.MeasureCycles/sim.Cycle(gn.Windows) <= 0 {
-		return fmt.Errorf("grid: measure budget %d too small for %d windows (each window needs at least one cycle)", m.MeasureCycles, gn.Windows)
-	}
-	cells := gn.enumerate(m)
+	cells := g.enumerate(m)
 	if indices == nil {
 		indices = make([]int, len(cells))
 		for i := range indices {
@@ -167,6 +137,36 @@ func runGridIndexed(ctx context.Context, g GridSpec, m Mode, opts GridOptions, i
 		return jerr
 	}
 	return ctx.Err()
+}
+
+// check reports whether g is runnable under m: a valid spec whose every
+// window gets at least one of m's measure cycles.
+func (g GridSpec) check(m Mode) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if w := g.normalized().Windows; m.MeasureCycles/sim.Cycle(w) <= 0 {
+		return fmt.Errorf("grid: measure budget %d too small for %d windows (each window needs at least one cycle)", m.MeasureCycles, w)
+	}
+	return nil
+}
+
+// GridCellKeys derives every cell's journal key — the content hash a
+// completed record is stored and deduplicated under. A distributed
+// coordinator uses these to merge shard reports idempotently (a cell
+// completed twice emits once) and to resume from its own journal
+// without re-deriving cells. It refuses any grid RunGrid would refuse.
+func GridCellKeys(g GridSpec, m Mode) ([]string, error) {
+	if err := g.check(m); err != nil {
+		return nil, err
+	}
+	cells := g.enumerate(m)
+	ex := &cellExecutor{m: m}
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = ex.key(c)
+	}
+	return keys, nil
 }
 
 // cellExecutor runs one cell under the fault-tolerance options:

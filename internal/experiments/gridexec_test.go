@@ -59,32 +59,27 @@ func checkGoroutineLeaks(t *testing.T) {
 	})
 }
 
-// collectOpts runs the grid under opts and returns the emitted records.
+// collectOpts runs the whole grid under opts and returns the emitted
+// records.
 func collectOpts(t *testing.T, ctx context.Context, g GridSpec, m Mode, opts GridOptions) ([]GridCellResult, error) {
 	t.Helper()
 	var out []GridCellResult
-	err := RunGridStreamOpts(ctx, g, m, opts, func(r GridCellResult) bool {
+	err := RunGrid(ctx, g, m, opts, nil, func(r GridCellResult) bool {
 		out = append(out, r)
 		return true
 	})
 	return out, err
 }
 
-// The zero GridOptions must reproduce the historical runner exactly —
-// same records, byte for byte.
-func TestGridOptsZeroValueMatchesLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	g, m := faultGrid(), faultMode()
-	legacy := RunGrid(g, m)
-	got, err := collectOpts(t, context.Background(), g, m, GridOptions{})
+// collectGrid runs the whole grid with the zero (fail-fast) options and
+// returns its records, failing the test on any error.
+func collectGrid(t *testing.T, g GridSpec, m Mode) []GridCellResult {
+	t.Helper()
+	rs, err := collectOpts(t, context.Background(), g, m, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jsonLines(got), jsonLines(legacy)) {
-		t.Fatal("zero-value GridOptions diverged from RunGrid")
-	}
+	return rs
 }
 
 // Skip mode: one injected hard failure yields a complete sweep with
@@ -96,7 +91,7 @@ func TestGridSkipModeIsolatesFailure(t *testing.T) {
 	}
 	checkGoroutineLeaks(t)
 	g, m := faultGrid(), faultMode()
-	clean := RunGrid(g, m)
+	clean := collectGrid(t, g, m)
 
 	const failIdx = 2
 	var streams [][]byte
@@ -155,7 +150,7 @@ func TestGridRetryOutlastsTransientFault(t *testing.T) {
 	}
 	checkGoroutineLeaks(t)
 	g, m := faultGrid(), faultMode()
-	clean := jsonLines(RunGrid(g, m))
+	clean := jsonLines(collectGrid(t, g, m))
 
 	// Cell 1 panics on its first two attempts, then succeeds.
 	inj := robust.NewInjector(0, robust.Plan{PanicCells: map[int]int{1: 2}})
@@ -189,7 +184,7 @@ func TestGridWatchdogTimesOut(t *testing.T) {
 	// the slowest clean cell on this host (the race detector slows
 	// simulation by an order of magnitude).
 	var slowest float64
-	for _, r := range RunGrid(g, m) {
+	for _, r := range collectGrid(t, g, m) {
 		if r.WallMS > slowest {
 			slowest = r.WallMS
 		}
@@ -252,14 +247,14 @@ func TestGridShutdownEmitsCleanPrefix(t *testing.T) {
 	}
 	checkGoroutineLeaks(t)
 	g := faultGrid()
-	clean := RunGrid(g, faultMode())
+	clean := collectGrid(t, g, faultMode())
 
 	for _, par := range []int{1, 2} {
 		m := faultMode()
 		m.Parallelism = par
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []GridCellResult
-		err := RunGridStreamOpts(ctx, g, m, GridOptions{}, func(r GridCellResult) bool {
+		err := RunGrid(ctx, g, m, GridOptions{}, nil, func(r GridCellResult) bool {
 			got = append(got, r)
 			if len(got) == 1 {
 				cancel()
@@ -287,20 +282,28 @@ func TestGridShutdownEmitsCleanPrefix(t *testing.T) {
 // Validation errors (not panics) for CLI-reachable misconfiguration.
 func TestGridOptsValidation(t *testing.T) {
 	noop := func(GridCellResult) bool { return true }
-	if err := RunGridStreamOpts(context.Background(), GridSpec{}, faultMode(), GridOptions{}, noop); err == nil || !strings.Contains(err.Error(), "at least one system") {
+	if err := RunGrid(context.Background(), GridSpec{}, faultMode(), GridOptions{}, nil, noop); err == nil || !strings.Contains(err.Error(), "at least one system") {
 		t.Fatalf("empty grid: %v", err)
 	}
 	g := faultGrid()
 	g.Confidence = 95 // a percentage, not a level
-	if err := RunGridStreamOpts(context.Background(), g, faultMode(), GridOptions{}, noop); err == nil || !strings.Contains(err.Error(), "confidence") {
+	if err := RunGrid(context.Background(), g, faultMode(), GridOptions{}, nil, noop); err == nil || !strings.Contains(err.Error(), "confidence") {
 		t.Fatalf("bad confidence: %v", err)
 	}
 	g = faultGrid()
 	g.Windows = 100
 	m := faultMode()
 	m.MeasureCycles = 50 // fewer cycles than windows
-	if err := RunGridStreamOpts(context.Background(), g, m, GridOptions{}, noop); err == nil || !strings.Contains(err.Error(), "measure budget") {
+	if err := RunGrid(context.Background(), g, m, GridOptions{}, nil, noop); err == nil || !strings.Contains(err.Error(), "measure budget") {
 		t.Fatalf("undersized budget: %v", err)
+	}
+	// A distributed coordinator derives keys before any cell runs; it
+	// must refuse the same grid rather than fail mid-sweep.
+	if _, err := GridCellKeys(g, m); err == nil || !strings.Contains(err.Error(), "measure budget") {
+		t.Fatalf("GridCellKeys accepted an undersized budget: %v", err)
+	}
+	if err := RunGrid(context.Background(), faultGrid(), faultMode(), GridOptions{}, []int{0, 4}, noop); err == nil || !strings.Contains(err.Error(), "cell index 4 outside [0, 4)") {
+		t.Fatalf("out-of-range index: %v", err)
 	}
 }
 
@@ -315,7 +318,7 @@ func TestGridJournalResumeInProcess(t *testing.T) {
 	checkGoroutineLeaks(t)
 	g, m := faultGrid(), faultMode()
 	m.Parallelism = 1
-	clean := jsonLines(RunGrid(g, faultMode()))
+	clean := jsonLines(collectGrid(t, g, faultMode()))
 	path := filepath.Join(t.TempDir(), "journal.jl")
 
 	// First run: abort after two cells (emit returns false). Both are
@@ -325,7 +328,7 @@ func TestGridJournalResumeInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitted := 0
-	if err := RunGridStreamOpts(context.Background(), g, m, GridOptions{Journal: j1}, func(GridCellResult) bool {
+	if err := RunGrid(context.Background(), g, m, GridOptions{Journal: j1}, nil, func(GridCellResult) bool {
 		emitted++
 		return emitted < 2
 	}); err != nil {
@@ -389,7 +392,7 @@ func TestGridResumeRetriesJournaledFailure(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	g, m := faultGrid(), faultMode()
-	clean := jsonLines(RunGrid(g, faultMode()))
+	clean := jsonLines(collectGrid(t, g, faultMode()))
 	path := filepath.Join(t.TempDir(), "journal.jl")
 
 	// Journal a failure record for cell 3 by hand, via the executor's own
@@ -453,15 +456,18 @@ func TestStreamOrderedContextCancel(t *testing.T) {
 }
 
 // streamOrdered panic propagation across worker counts: the panic
-// surfaces on the caller and the pool still winds down leak-free.
+// surfaces on the caller, no further indices are claimed, and the pool
+// still winds down leak-free.
 func TestStreamOrderedPanicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			checkGoroutineLeaks(t)
 			const n = 64
+			var calls atomic.Int64
 			got := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
 				streamOrdered(context.Background(), n, workers, func(i int) int {
+					calls.Add(1)
 					if i == 7 {
 						panic("boom at 7")
 					}
@@ -472,25 +478,12 @@ func TestStreamOrderedPanicAcrossWorkers(t *testing.T) {
 			if !strings.Contains(got, "boom at 7") {
 				t.Fatalf("panic did not propagate: %q", got)
 			}
+			// A failed batch is discarded, so the pool must stop claiming
+			// cells rather than simulate the rest of the grid.
+			if c := calls.Load(); c >= n {
+				t.Fatalf("fn ran %d of %d times; the pool kept claiming after the panic", c, n)
+			}
 		})
-	}
-}
-
-// RunCellsCtx honors cancellation on both the sequential and parallel
-// paths.
-func TestRunCellsCtxCancelled(t *testing.T) {
-	cells := []Cell{
-		cell("a", core.BaselineConfig(16), workload.WebSearch()),
-		cell("b", core.BaselineConfig(16), workload.WebSearch()),
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, par := range []int{1, 2} {
-		m := faultMode()
-		m.Parallelism = par
-		if _, err := RunCellsCtx(ctx, cells, m); err != context.Canceled {
-			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
-		}
 	}
 }
 
@@ -509,7 +502,7 @@ func TestGridKillResumeSubprocess(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	g := faultGrid()
-	golden := jsonLines(RunGrid(g, faultMode()))
+	golden := jsonLines(collectGrid(t, g, faultMode()))
 
 	for _, par := range []int{1, 5} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
@@ -598,7 +591,7 @@ func gridKillHelper(t *testing.T) {
 	enc := json.NewEncoder(f)
 	emitted := 0
 	var encErr error
-	err = RunGridStreamOpts(context.Background(), g, m, GridOptions{Journal: j, Resume: true}, func(r GridCellResult) bool {
+	err = RunGrid(context.Background(), g, m, GridOptions{Journal: j, Resume: true}, nil, func(r GridCellResult) bool {
 		if encErr = enc.Encode(r); encErr != nil {
 			return false
 		}

@@ -3,9 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -32,84 +29,20 @@ func cell(label string, cfg core.Config, spec workload.Spec) Cell {
 // RunCells executes every cell under mode m and returns metrics in
 // submission order, so callers assemble results exactly as the sequential
 // loops they replace did and outputs stay bit-identical regardless of
-// worker count. m.Parallelism bounds the worker pool: <= 0 uses
-// GOMAXPROCS, 1 degenerates to the in-place sequential path. A panic
-// inside any cell is captured and re-raised on the calling goroutine,
-// prefixed with the cell's label.
+// worker count. The cells run on streamOrdered's pool: m.Parallelism
+// bounds it (<= 0 uses GOMAXPROCS, 1 degenerates to the in-place
+// sequential path), and once a cell has failed no further cells are
+// claimed. A panic inside any cell is re-raised on the calling
+// goroutine, prefixed with the cell's label.
 func RunCells(cells []Cell, m Mode) []core.Metrics {
-	out, err := RunCellsCtx(context.Background(), cells, m)
-	if err != nil {
-		// Unreachable with a background context: RunCellsCtx only errors
-		// on cancellation.
-		panic("experiments: " + err.Error())
-	}
-	return out
-}
-
-// RunCellsCtx is RunCells with graceful shutdown: cancelling ctx stops
-// workers from claiming further cells, drains in-flight simulations,
-// and returns ctx.Err() — the cancellation path shared with the grid's
-// streaming pool, for signal-driven sweep teardown.
-func RunCellsCtx(ctx context.Context, cells []Cell, m Mode) ([]core.Metrics, error) {
 	out := make([]core.Metrics, len(cells))
-	workers := m.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i, c := range cells {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = runCell(c, m)
-		}
-		return out, nil
-	}
-
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		wg       sync.WaitGroup
-		panicked = make([]any, len(cells))
-	)
-	next.Store(-1)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				// Once any cell has failed (or the run is cancelled) the
-				// batch's results will be discarded, so stop claiming work
-				// instead of simulating the rest of the grid.
-				if i >= len(cells) || failed.Load() || ctx.Err() != nil {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked[i] = r
-							failed.Store(true)
-						}
-					}()
-					out[i] = runCell(cells[i], m)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range panicked {
-		if r != nil {
-			panic(r) // already labeled by runCell
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	streamOrdered(context.Background(), len(cells), m.Parallelism,
+		func(i int) core.Metrics { return runCell(cells[i], m) },
+		func(i int, met core.Metrics) bool {
+			out[i] = met
+			return true
+		})
+	return out
 }
 
 // runCell builds, warms, and measures one cell, like runOne but with the

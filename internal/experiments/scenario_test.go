@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestScenarioGridDeterminism(t *testing.T) {
 	}
 	g, m := scenarioGrid(t), faultMode()
 	m.Parallelism = 1
-	want := jsonLines(RunGrid(g, m))
+	want := jsonLines(collectGrid(t, g, m))
 	if !bytes.Contains(want, []byte(`"workload":"scenario:consolidation-test"`)) {
 		t.Fatal("no scenario cells in the sweep output")
 	}
@@ -73,7 +74,7 @@ func TestScenarioGridDeterminism(t *testing.T) {
 			vm := m
 			vm.Parallelism = par
 			vm.GenThreads = gen
-			if got := jsonLines(RunGrid(g, vm)); !bytes.Equal(got, want) {
+			if got := jsonLines(collectGrid(t, g, vm)); !bytes.Equal(got, want) {
 				t.Fatalf("parallel=%d gen-threads=%d scenario grid diverged", par, gen)
 			}
 		}
@@ -89,19 +90,19 @@ func TestScenarioCheckpointRestoreDifferential(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	g, m := scenarioGrid(t), faultMode()
-	want := jsonLines(RunGrid(g, m))
+	want := jsonLines(collectGrid(t, g, m))
 
 	var stats CheckpointStats
 	cm := m
 	cm.CheckpointDir = t.TempDir()
 	cm.Checkpoints = &stats
-	if got := jsonLines(RunGrid(g, cm)); !bytes.Equal(got, want) {
+	if got := jsonLines(collectGrid(t, g, cm)); !bytes.Equal(got, want) {
 		t.Fatal("cold checkpoint-saving sweep diverged from the plain sweep")
 	}
 	if stats.Saves.Load() == 0 {
 		t.Fatal("cold pass saved no checkpoints")
 	}
-	if got := jsonLines(RunGrid(g, cm)); !bytes.Equal(got, want) {
+	if got := jsonLines(collectGrid(t, g, cm)); !bytes.Equal(got, want) {
 		t.Fatal("restored sweep diverged from the plain sweep")
 	}
 	if stats.Hits.Load() == 0 {
@@ -154,7 +155,7 @@ func TestScenarioJournalKeys(t *testing.T) {
 }
 
 // TestScenarioSystemMismatch: a scenario that does not cover the
-// system's cores fails the cell (fail-fast panic path) rather than
+// system's cores fails the cell (fail-fast error path) rather than
 // silently mis-binding.
 func TestScenarioSystemMismatch(t *testing.T) {
 	if testing.Short() {
@@ -166,14 +167,11 @@ func TestScenarioSystemMismatch(t *testing.T) {
 		Scenarios: []*scenario.Scenario{s},
 		Windows:   1,
 	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("4-core scenario on a 16-core system did not fail")
-		}
-		if msg, ok := p.(string); !ok || !strings.Contains(msg, "core 4 is bound to no client") {
-			t.Fatalf("panic %v does not name the uncovered core", p)
-		}
-	}()
-	RunGrid(g, faultMode())
+	_, err := collectOpts(t, context.Background(), g, faultMode(), GridOptions{})
+	if err == nil {
+		t.Fatal("4-core scenario on a 16-core system did not fail")
+	}
+	if !strings.Contains(err.Error(), "core 4 is bound to no client") {
+		t.Fatalf("error %v does not name the uncovered core", err)
+	}
 }

@@ -198,13 +198,13 @@ func TestGridWithCheckpointDirByteIdentical(t *testing.T) {
 	m.Scale = 256
 	m.WarmInstr = warmTestInstr
 	m.MeasureCycles = 8_000
-	want := RunGrid(g, m)
+	want := collectGrid(t, g, m)
 
 	var cs CheckpointStats
 	m.CheckpointDir = t.TempDir()
 	m.Checkpoints = &cs
-	coldPass := RunGrid(g, m)
-	warmPass := RunGrid(g, m)
+	coldPass := collectGrid(t, g, m)
+	warmPass := collectGrid(t, g, m)
 	if cs.Saves.Load() != 2 { // 2 systems x 1 workload; latency override shares
 		t.Fatalf("expected 2 saved checkpoints, counters %+v", counters(&cs))
 	}

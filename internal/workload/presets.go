@@ -4,7 +4,7 @@ import "fmt"
 
 // The presets below are the calibration targets of the reproduction.
 // Parameters are chosen so the synthetic streams reproduce the paper's
-// published characterization (see DESIGN.md §4 and EXPERIMENTS.md):
+// published characterization (see DESIGN.md §4):
 //
 //   - The middle working set (hundreds of KB per core) misses the L1s but
 //     hits even the 8MB shared LLC; it carries most LLC traffic, making

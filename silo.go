@@ -24,8 +24,9 @@
 //	fmt.Printf("aggregate IPC: %.2f\n", m.IPC())
 //
 // The experiments subpackage entry points (re-exported here as RunFig10
-// etc.) regenerate every table and figure of the paper's evaluation; see
-// EXPERIMENTS.md for measured-vs-paper results.
+// etc.) regenerate every table and figure of the paper's evaluation;
+// cmd/paperbench prints them, and DESIGN.md documents the models behind
+// them and the calibration targets.
 package silo
 
 import (
