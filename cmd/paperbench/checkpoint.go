@@ -11,10 +11,10 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// Warm-state checkpoint directory maintenance (-checkpoint-ls and
-// -checkpoint-gc). Both operate on the header alone — key and metadata
-// live before the payload precisely so a listing never has to read an
-// 800MB paper-scale checkpoint body.
+// Warm-state checkpoint directory maintenance (the checkpoint-ls and
+// checkpoint-gc subcommands). Both operate on the header alone — key
+// and metadata live before the payload precisely so a listing never has
+// to read an 800MB paper-scale checkpoint body.
 
 // ckptEntry is one directory entry with its decoded header (or the
 // reason it could not be decoded).

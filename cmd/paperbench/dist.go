@@ -14,19 +14,15 @@ import (
 	"repro/internal/experiments"
 )
 
-// Distributed sweep runner CLI (DESIGN.md §13): -serve runs the
-// coordinator over the same -grid flags batch mode takes; -worker
-// joins a coordinator and contributes cells. The coordinator's output
-// is byte-identical to a single-process `-grid` run modulo wall_ms.
+// Distributed sweep runner CLI (DESIGN.md §13): serve runs the
+// coordinator over the same sweep flags grid takes; worker joins a
+// coordinator and contributes cells. The coordinator's output is
+// byte-identical to a single-process grid run modulo wall_ms.
 
 // runServe is coordinator mode: partition the grid into lease batches,
 // serve them to workers, reassemble reports in enumeration order, and
 // write the sweep output exactly like runGrid would.
-func runServe(c cliConfig, mode experiments.Mode) int {
-	if c.grid == "" {
-		fmt.Fprintln(os.Stderr, "dist: -serve needs -grid <spec> (the coordinator owns the sweep definition)")
-		return 2
-	}
+func runServe(c *cliConfig, mode experiments.Mode) int {
 	if c.resumeShards != "" && !c.resume {
 		fmt.Fprintln(os.Stderr, "dist: -resume-shards needs -resume (shard journals only matter when resuming)")
 		return 2
@@ -40,9 +36,9 @@ func runServe(c cliConfig, mode experiments.Mode) int {
 	}
 
 	cfg := dist.Config{
-		Grid:         c.grid,
-		Windows:      c.gridWindows,
-		Confidence:   c.gridConfidence,
+		Grid:         c.spec,
+		Windows:      c.windows,
+		Confidence:   c.confidence,
 		Mode:         mode,
 		OnError:      opts.OnError,
 		Retries:      opts.Retries,
@@ -65,7 +61,7 @@ func runServe(c cliConfig, mode experiments.Mode) int {
 		fmt.Fprintf(os.Stderr, "dist: %v\n", err)
 		return 2
 	}
-	ln, err := net.Listen("tcp", c.serve)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dist: %v\n", err)
 		return 1
@@ -82,14 +78,10 @@ func runServe(c cliConfig, mode experiments.Mode) int {
 
 // runWorker is worker mode: join the coordinator at the URL, lease
 // cells, stream records back until the sweep finishes.
-func runWorker(c cliConfig, mode experiments.Mode) int {
-	if c.grid != "" {
-		fmt.Fprintln(os.Stderr, "dist: -worker takes the grid from the coordinator — drop -grid")
-		return 2
-	}
+func runWorker(c *cliConfig, mode experiments.Mode) int {
 	w := dist.NewWorker(dist.WorkerConfig{
-		URL:           strings.TrimRight(c.worker, "/"),
-		ID:            c.workerID,
+		URL:           strings.TrimRight(c.url, "/"),
+		ID:            c.id,
 		Parallelism:   mode.Parallelism,
 		GenThreads:    mode.GenThreads,
 		CheckpointDir: mode.CheckpointDir,

@@ -12,7 +12,7 @@ import (
 	"repro/internal/experiments"
 )
 
-// -checkpoint-gc must refuse while another process (here: another
+// checkpoint-gc must refuse while another process (here: another
 // goroutine's shared lock, same flock semantics) is mid-restore on the
 // shared directory, leaving every checkpoint in place — the directed
 // test for the concurrent-reader guard. After the reader releases, the
@@ -131,30 +131,115 @@ func TestParseOverrideKeys(t *testing.T) {
 	}
 }
 
-// -grid and -serve share one grid-flag check: a negative window count,
+// grid and serve share one sweep-flag check: a negative window count,
 // or more windows than the mode has measure cycles, is a usage error
 // (exit 2) in both modes, reported before anything listens or
 // simulates.
 func TestGridWindowsCheckedInBothModes(t *testing.T) {
 	mode := experiments.Quick()
-	for _, serve := range []string{"", "127.0.0.1:0"} {
+	for _, runMode := range []func(*cliConfig, experiments.Mode) int{runGrid, runServe} {
 		for _, windows := range []int{-1, int(mode.MeasureCycles) + 1} {
 			c := cliConfig{
-				grid:        "systems=Baseline;workloads=WebSearch",
-				gridWindows: windows,
-				onError:     "fail",
-				serve:       serve,
-				leaseTTL:    200 * time.Millisecond,
-				soloAfter:   time.Millisecond,
+				spec:      "systems=Baseline;workloads=WebSearch",
+				windows:   windows,
+				onError:   "fail",
+				addr:      "127.0.0.1:0",
+				leaseTTL:  200 * time.Millisecond,
+				soloAfter: time.Millisecond,
 			}
-			runMode := runGrid
-			if serve != "" {
-				runMode = runServe
+			code, stderr := captureStderr(t, func() int { return runMode(&c, mode) })
+			if code != 2 || !strings.Contains(stderr, "-windows") {
+				t.Errorf("windows=%d: exit %d, stderr %q; want exit 2 naming -windows", windows, code, stderr)
 			}
-			code, stderr := captureStderr(t, func() int { return runMode(c, mode) })
-			if code != 2 || !strings.Contains(stderr, "-grid-windows") {
-				t.Errorf("serve=%q windows=%d: exit %d, stderr %q; want exit 2 naming -grid-windows", serve, windows, code, stderr)
+		}
+	}
+}
+
+// Each subcommand parses only its own flags: a flag another subcommand
+// owns is a usage error naming that flag, raised before any work. The
+// last four rows mix modes the way a shared FlagSet would accept while
+// silently ignoring the flags the chosen mode does not read.
+func TestForeignFlagRejected(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		foreign string
+	}{
+		{[]string{"figures", "-spec", "systems=SILO;workloads=WebSearch"}, "-spec"},
+		{[]string{"grid", "-spec", "systems=SILO;workloads=WebSearch", "-addr", ":0"}, "-addr"},
+		{[]string{"serve", "-url", "http://x"}, "-url"},
+		{[]string{"worker", "-url", "http://x", "-full"}, "-full"},
+		{[]string{"checkpoint-gc", "-checkpoint-dir", "ck", "-days", "1", "-parallel", "2"}, "-parallel"},
+		{[]string{"record-trace", "-out", "t.rpt", "-journal", "j.jl"}, "-journal"},
+		{[]string{"mask-wall-ms", "-checkpoint-dir", "ck"}, "-checkpoint-dir"},
+		{[]string{"checkpoint-ls", "-checkpoint-dir", "ck", "-days", "0"}, "-days"},
+		{[]string{"figures", "-only", "table1", "-journal", "j.jl", "-windows", "4", "-resume"}, "-journal"},
+		{[]string{"record-trace", "-out", "t.rpt", "-ops", "10", "-spec", "bogus", "-full", "-parallel", "3"}, "-spec"},
+		{[]string{"mask-wall-ms", "-out", "out.jsonl", "-only", "fig99", "-url", "http://x"}, "-out"},
+	} {
+		code, stderr := captureStderr(t, func() int { return run(c.args) })
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+c.foreign) {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 naming %s", c.args, code, stderr, c.foreign)
+		}
+	}
+}
+
+// Every bounded flag refuses an out-of-range value at parse time.
+func TestBoundedFlagRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"grid", "-parallel", "-1"},
+		{"figures", "-gen-threads", "-1"},
+		{"grid", "-retries", "-1"},
+		{"grid", "-cell-deadline", "0"},
+		{"serve", "-retry-backoff", "-5ms"},
+		{"serve", "-lease-ttl", "0s"},
+		{"serve", "-lease-cells", "0"},
+		{"worker", "-max-offline", "0"},
+		{"record-trace", "-ops", "0"},
+		{"checkpoint-gc", "-days", "-1"},
+		{"grid", "-parallel", "many"},
+	} {
+		code, stderr := captureStderr(t, func() int { return run(args) })
+		if code != 2 || !strings.Contains(stderr, "invalid value") || !strings.Contains(stderr, args[1]) {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 naming %s", args, code, stderr, args[1])
+		}
+	}
+}
+
+// Without a subcommand, with an unknown one, with a stray argument or
+// without a flag the subcommand cannot run without, paperbench exits 2
+// before any work; -h on any subcommand is a successful request.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"fig10"}, {"-only", "fig10"}} {
+		code, stderr := captureStderr(t, func() int { return run(args) })
+		if code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+		for _, cmd := range subcommands {
+			if !strings.Contains(stderr, cmd.name) {
+				t.Errorf("%q: usage does not list %s:\n%s", args, cmd.name, stderr)
 			}
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"figures", "fig10"}, `unexpected argument "fig10"`},
+		{[]string{"grid"}, "missing required flag -spec"},
+		{[]string{"serve", "-spec", "systems=SILO;workloads=WebSearch"}, "missing required flag -addr"},
+		{[]string{"worker"}, "missing required flag -url"},
+		{[]string{"checkpoint-ls"}, "missing required flag -checkpoint-dir"},
+		{[]string{"checkpoint-gc", "-checkpoint-dir", "ck"}, "missing required flag -days"},
+		{[]string{"record-trace"}, "missing required flag -out"},
+	} {
+		code, stderr := captureStderr(t, func() int { return run(c.args) })
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 with %q", c.args, code, stderr, c.want)
+		}
+	}
+	for _, cmd := range subcommands {
+		if code, _ := captureStderr(t, func() int { return run([]string{cmd.name, "-h"}) }); code != 0 {
+			t.Errorf("%s -h: exit %d, want 0", cmd.name, code)
 		}
 	}
 }

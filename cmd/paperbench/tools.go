@@ -2,86 +2,94 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"path/filepath"
 
 	"repro/internal/experiments"
 	"repro/internal/robust"
 	"repro/internal/workload"
 )
 
-// Small scenario companions: the -scenario shorthand translation, the
-// -record-trace recorder, and the -mask-wall-ms output normalizer.
+// Small companions: the atomic output writer, the record-trace recorder
+// and the mask-wall-ms output normalizer.
 
-// scenarioGridArg translates -scenario/-scenario-systems into the
-// textual grid spec the batch machinery (and the distributed
-// coordinator's wire format) already speak. The translation is textual
-// on purpose — a -serve coordinator ships the grid string to workers,
-// and a shorthand that bypassed it would give scenario sweeps a
-// different distribution path than hand-written grids.
-func scenarioGridArg(file, systems string) (string, error) {
-	// ';' and ',' are the grid spec's separators; a path containing them
-	// cannot round-trip through the textual form.
-	if strings.ContainsAny(file, ";,") {
-		return "", fmt.Errorf(`-scenario %q: the path contains ';' or ',', which the grid spec syntax reserves — rename or symlink the file`, file)
+// writeFileAtomic streams write's output into a same-directory temp file
+// and, only once write succeeds, commits it to path with mode 0644
+// (robust.CommitFile: fsync + rename + directory fsync). A crash or a
+// failed write therefore never leaves a truncated file under the real
+// name, and the output never has to fit in memory.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
 	}
-	systems = strings.TrimSpace(systems)
-	if systems == "" || strings.Contains(systems, ";") {
-		return "", fmt.Errorf("-scenario-systems %q must be comma-separated system names", systems)
+	committed := false
+	defer func() {
+		if !committed {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := write(tmp); err != nil {
+		return err
 	}
-	return "systems=" + systems + ";scenarios=" + strings.TrimSpace(file), nil
+	if err := tmp.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := robust.CommitFile(tmp.Name(), path); err != nil {
+		return err
+	}
+	committed = true
+	return nil
 }
 
-// recordBatch bounds the per-call generation buffer so a large
-// -record-ops streams through a fixed-size chunk instead of one giant
-// allocation.
+// recordBatch bounds the per-call generation buffer so a large -ops
+// streams through a fixed-size chunk instead of one giant allocation.
 const recordBatch = 1 << 16
 
-// runRecordTrace generates c.recordOps ops of the named workload preset
-// and writes them as an RPT1 trace file (atomic: temp + rename). The
-// stream parameters are fixed and documented on the flag — core 0 of a
-// 1-core stream, scale 16, seed 1 — so a trace is reproducible from its
-// flag values and the recorded content hash is stable across hosts.
-func runRecordTrace(c cliConfig) int {
-	spec, err := experiments.WorkloadByName(c.recordWorkload)
+// runRecordTrace generates c.ops ops of the named workload preset and
+// streams them to c.out as an RPT1 trace file (atomic: temp + rename).
+// The stream parameters are fixed and documented on the flag — core 0
+// of a 1-core stream, scale 16, seed 1 — so a trace is reproducible from
+// its flag values and the recorded content hash is stable across hosts.
+func runRecordTrace(c *cliConfig) int {
+	spec, err := experiments.WorkloadByName(c.workload)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "record-trace: %v\n", err)
 		return 2
 	}
-	if c.recordOps <= 0 {
-		fmt.Fprintf(os.Stderr, "record-trace: -record-ops %d is not positive\n", c.recordOps)
-		return 2
-	}
-	var buf bytes.Buffer
-	tw, err := workload.NewTraceWriter(&buf, spec.Name, spec.MLP)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "record-trace: %v\n", err)
-		return 1
-	}
-	st := workload.NewStream(spec, 0, 1, 16, 1)
-	ops := make([]workload.Op, recordBatch)
-	for left := c.recordOps; left > 0; {
-		n := min(left, recordBatch)
-		st.NextBatch(ops[:n])
-		if err := tw.Write(ops[:n]); err != nil {
-			fmt.Fprintf(os.Stderr, "record-trace: %v\n", err)
-			return 1
+	err = writeFileAtomic(c.out, func(w io.Writer) error {
+		tw, err := workload.NewTraceWriter(w, spec.Name, spec.MLP)
+		if err != nil {
+			return err
 		}
-		left -= n
-	}
-	if err := tw.Finish(); err != nil {
+		st := workload.NewStream(spec, 0, 1, 16, 1)
+		ops := make([]workload.Op, recordBatch)
+		for left := c.ops; left > 0; {
+			n := min(left, recordBatch)
+			st.NextBatch(ops[:n])
+			if err := tw.Write(ops[:n]); err != nil {
+				return err
+			}
+			left -= n
+		}
+		return tw.Finish()
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "record-trace: %v\n", err)
 		return 1
 	}
-	if err := robust.WriteFileAtomic(c.recordTrace, buf.Bytes(), 0o644); err != nil {
+	fi, err := os.Stat(c.out)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "record-trace: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "[record-trace: %d %s ops -> %s (%d bytes)]\n",
-		c.recordOps, spec.Name, c.recordTrace, buf.Len())
+	fmt.Fprintf(os.Stderr, "[record-trace: %d %s ops -> %s (%d bytes)]\n", c.ops, spec.Name, c.out, fi.Size())
 	return 0
 }
 

@@ -2,34 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-func TestScenarioGridArg(t *testing.T) {
-	got, err := scenarioGridArg("examples/scenarios/consolidation.yaml", "SILO,Baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "systems=SILO,Baseline;scenarios=examples/scenarios/consolidation.yaml"
-	if got != want {
-		t.Fatalf("scenarioGridArg = %q, want %q", got, want)
-	}
-	for _, c := range []struct{ file, systems, wantErr string }{
-		{"a;b.yaml", "SILO", "reserves"},
-		{"a,b.yaml", "SILO", "reserves"},
-		{"spec.yaml", "", "comma-separated"},
-		{"spec.yaml", "SILO;Baseline", "comma-separated"},
-	} {
-		if _, err := scenarioGridArg(c.file, c.systems); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("scenarioGridArg(%q, %q) error = %v, want containing %q", c.file, c.systems, err, c.wantErr)
-		}
-	}
-}
 
 // The recorded file must be a valid RPT1 trace that round-trips through
 // the workload reader with the preset's name, MLP and the exact op
@@ -38,8 +20,8 @@ func TestScenarioGridArg(t *testing.T) {
 func TestRecordTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "web.rpt")
-	c := cliConfig{recordTrace: path, recordWorkload: "WebSearch", recordOps: 70000}
-	if code := runRecordTrace(c); code != 0 {
+	c := cliConfig{out: path, workload: "WebSearch", ops: 70000}
+	if code := runRecordTrace(&c); code != 0 {
 		t.Fatalf("runRecordTrace exited %d", code)
 	}
 	raw, err := os.ReadFile(path)
@@ -54,11 +36,11 @@ func TestRecordTraceRoundTrip(t *testing.T) {
 		t.Fatalf("trace = %q mlp=%d ops=%d", name, mlp, len(ops))
 	}
 
-	c.recordTrace = filepath.Join(dir, "web2.rpt")
-	if code := runRecordTrace(c); code != 0 {
+	c.out = filepath.Join(dir, "web2.rpt")
+	if code := runRecordTrace(&c); code != 0 {
 		t.Fatalf("second runRecordTrace exited %d", code)
 	}
-	raw2, err := os.ReadFile(c.recordTrace)
+	raw2, err := os.ReadFile(c.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +48,67 @@ func TestRecordTraceRoundTrip(t *testing.T) {
 		t.Fatal("two recordings of the same flags differ")
 	}
 
-	if code := runRecordTrace(cliConfig{recordTrace: path, recordWorkload: "NoSuch", recordOps: 1}); code != 2 {
+	if code := runRecordTrace(&cliConfig{out: path, workload: "NoSuch", ops: 1}); code != 2 {
 		t.Fatalf("unknown workload exited %d, want 2", code)
+	}
+}
+
+// A recording streams to disk: memory stays bounded by the generation
+// batch and the writer buffers, not by the trace size.
+func TestRecordTraceStreams(t *testing.T) {
+	c := cliConfig{out: filepath.Join(t.TempDir(), "big.rpt"), workload: "WebSearch", ops: 1 << 20}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if code := runRecordTrace(&c); code != 0 {
+		t.Fatalf("runRecordTrace exited %d", code)
+	}
+	runtime.ReadMemStats(&after)
+	fi, err := os.Stat(c.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 16<<20 {
+		t.Fatalf("trace is %d bytes, want at least 16 MB", fi.Size())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Fatalf("recording a %d-byte trace allocated %d bytes, want under 8 MB", fi.Size(), alloc)
+	}
+}
+
+// writeFileAtomic replaces the target in one step with a 0644 file and
+// leaves no temp litter; a failed write keeps the old file intact.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	for _, content := range []string{"v1\n", "v2\n"} {
+		if err := writeFileAtomic(path, func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed := errors.New("generator failed")
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return failed
+	}); !errors.Is(err, failed) {
+		t.Fatalf("failed write returned %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || string(data) != "v2\n" {
+		t.Fatalf("content %q err %v", data, err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v err %v, want 0644", fi.Mode().Perm(), err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("directory has %d entries, want just the target", len(ents))
 	}
 }
 

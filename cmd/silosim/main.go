@@ -5,87 +5,103 @@
 //
 // -system all runs every organization on the workload concurrently
 // (worker pool bounded by -parallel) and prints a comparison table.
+// System and workload names resolve exactly as in a paperbench grid
+// spec.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	silo "repro"
+	"repro/internal/experiments"
 )
 
+// allSystems is the -system all comparison, in Fig 10's order.
+var allSystems = []string{"Baseline", "Baseline+DRAM$", "SILO", "SILO-CO", "Vaults-Sh"}
+
 func main() {
-	system := flag.String("system", "silo", "baseline | baseline+dram | silo | silo-co | vaults-sh | all")
-	name := flag.String("workload", "WebSearch", "workload name (scale-out, enterprise, or SPEC2006)")
-	cores := flag.Int("cores", 16, "core count (1-32, powers of two)")
-	warmInstr := flag.Int("warm-instr", 300_000, "functional warm-up instructions per core")
-	warm := flag.Uint64("warm-cycles", 20_000, "timed warm-up cycles")
-	measure := flag.Uint64("measure-cycles", 60_000, "measured cycles")
-	parallel := flag.Int("parallel", 0, "worker pool size for -system all (0 = all cores)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run parses args, simulates, and prints to stdout; diagnostics go to
+// stderr. It returns the exit status: 2 for a usage error, 1 for an
+// invariant violation.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("silosim", flag.ContinueOnError)
+	system := fs.String("system", "silo", "baseline | baseline+dram | silo | silo-co | vaults-sh | all")
+	name := fs.String("workload", "WebSearch", "workload name (scale-out, enterprise, or SPEC2006)")
+	cores := fs.Int("cores", 16, "core count (1-32, powers of two)")
+	warmInstr := fs.Int("warm-instr", 300_000, "functional warm-up instructions per core")
+	warm := fs.Uint64("warm-cycles", 20_000, "timed warm-up cycles")
+	measure := fs.Uint64("measure-cycles", 60_000, "measured cycles")
+	parallel := fs.Int("parallel", 0, "worker pool size for -system all (0 = all cores)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "silosim: -parallel %d is negative (0 = all cores, 1 = sequential, N = N workers)\n", *parallel)
-		os.Exit(2)
+		return 2
 	}
 
-	spec, ok := findWorkload(*name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (scale-out, enterprise and SPEC CPU2006 names are accepted, e.g. WebSearch or mcf)\n", *name)
-		os.Exit(2)
+	spec, err := experiments.WorkloadByName(*name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "silosim: %v\n", err)
+		return 2
 	}
 
+	systems := []string{*system}
 	if strings.EqualFold(*system, "all") {
-		runAll(spec, *cores, *warmInstr, silo.Cycle(*warm), silo.Cycle(*measure), *parallel)
-		return
+		systems = allSystems
+	}
+	cfgs := make([]silo.Config, len(systems))
+	for i, s := range systems {
+		if cfgs[i], err = experiments.SystemByName(s); err != nil {
+			fmt.Fprintf(os.Stderr, "silosim: %v\n", err)
+			return 2
+		}
+		cfgs[i].Cores = *cores
+	}
+	if len(cfgs) > 1 {
+		runAll(stdout, cfgs, spec, *warmInstr, silo.Cycle(*warm), silo.Cycle(*measure), *parallel)
+		return 0
 	}
 
-	cfg, ok := findConfig(*system, *cores)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
-		os.Exit(2)
-	}
-
+	cfg := cfgs[0]
 	sys := silo.NewSystem(cfg, spec)
 	sys.Prewarm()
 	sys.WarmFunctional(*warmInstr)
 	m := sys.Run(silo.Cycle(*warm), silo.Cycle(*measure))
 
 	s := m.Stats
-	fmt.Printf("system=%s workload=%s cores=%d\n", cfg.Kind, spec.Name, *cores)
-	fmt.Printf("  IPC (aggregate):   %.3f\n", m.IPC())
-	fmt.Printf("  LLC accesses:      %d (hit rate %.1f%%)\n", s.LLCAccesses, 100*m.LLCHitRate())
-	fmt.Printf("  local/remote/miss: %d / %d / %d\n", s.LocalHits, s.RemoteHits, s.Misses)
-	fmt.Printf("  memory traffic:    %d reads, %d writebacks\n", s.MemAccesses, s.MemWritebacks)
-	fmt.Printf("  coherence:         %d forwards, %d invalidations, %d upgrades\n",
+	fmt.Fprintf(stdout, "system=%s workload=%s cores=%d\n", cfg.Kind, spec.Name, *cores)
+	fmt.Fprintf(stdout, "  IPC (aggregate):   %.3f\n", m.IPC())
+	fmt.Fprintf(stdout, "  LLC accesses:      %d (hit rate %.1f%%)\n", s.LLCAccesses, 100*m.LLCHitRate())
+	fmt.Fprintf(stdout, "  local/remote/miss: %d / %d / %d\n", s.LocalHits, s.RemoteHits, s.Misses)
+	fmt.Fprintf(stdout, "  memory traffic:    %d reads, %d writebacks\n", s.MemAccesses, s.MemWritebacks)
+	fmt.Fprintf(stdout, "  coherence:         %d forwards, %d invalidations, %d upgrades\n",
 		s.Forwards, s.Invalidations, s.Upgrades)
 	if msg := sys.CheckInvariants(); msg != "" {
 		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: %s\n", msg)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// systemKinds is the single ordered table of organizations: findConfig
-// resolves names against it and -system all compares all of it.
-var systemKinds = []struct {
-	name string
-	cfg  func(cores int) silo.Config
-}{
-	{"baseline", silo.BaselineConfig},
-	{"baseline+dram", silo.BaselineDRAMConfig},
-	{"silo", silo.SILOConfig},
-	{"silo-co", silo.SILOCOConfig},
-	{"vaults-sh", silo.VaultsSharedConfig},
-}
-
-// runAll compares every system organization on one workload, running the
+// runAll compares system organizations on one workload, running the
 // simulations concurrently through the experiments runner.
-func runAll(spec silo.Workload, cores, warmInstr int, warm, measure silo.Cycle, parallel int) {
-	cells := make([]silo.SimCell, len(systemKinds))
-	for i, k := range systemKinds {
-		cells[i] = silo.SimCell{Label: "silosim/" + k.name, Config: k.cfg(cores), Specs: []silo.Workload{spec}}
+func runAll(stdout io.Writer, cfgs []silo.Config, spec silo.Workload, warmInstr int, warm, measure silo.Cycle, parallel int) {
+	cells := make([]silo.SimCell, len(cfgs))
+	for i, cfg := range cfgs {
+		cells[i] = silo.SimCell{Label: "silosim/" + cfg.Kind.String(), Config: cfg, Specs: []silo.Workload{spec}}
 	}
 	mode := silo.ExperimentMode{
 		Name:          "cli",
@@ -99,45 +115,15 @@ func runAll(spec silo.Workload, cores, warmInstr int, warm, measure silo.Cycle, 
 	}
 	ms := silo.RunCells(cells, mode)
 
-	fmt.Printf("workload=%s cores=%d (all systems)\n", spec.Name, cores)
-	fmt.Printf("%-16s %8s %10s %12s %10s\n", "system", "IPC", "hit-rate", "mem-reads", "vs-base")
+	fmt.Fprintf(stdout, "workload=%s cores=%d (all systems)\n", spec.Name, cfgs[0].Cores)
+	fmt.Fprintf(stdout, "%-16s %8s %10s %12s %10s\n", "system", "IPC", "hit-rate", "mem-reads", "vs-base")
 	base := ms[0].IPC()
 	for i, m := range ms {
 		rel := "-"
 		if base > 0 {
 			rel = fmt.Sprintf("%.3fx", m.IPC()/base)
 		}
-		fmt.Printf("%-16s %8.3f %9.1f%% %12d %10s\n",
+		fmt.Fprintf(stdout, "%-16s %8.3f %9.1f%% %12d %10s\n",
 			cells[i].Config.Kind, m.IPC(), 100*m.LLCHitRate(), m.Stats.MemAccesses, rel)
 	}
-}
-
-func findConfig(system string, cores int) (silo.Config, bool) {
-	s := strings.ToLower(system)
-	if s == "dram" { // historical alias
-		s = "baseline+dram"
-	}
-	for _, k := range systemKinds {
-		if k.name == s {
-			return k.cfg(cores), true
-		}
-	}
-	return silo.Config{}, false
-}
-
-func findWorkload(name string) (silo.Workload, bool) {
-	all := append(silo.ScaleOutSuite(), silo.EnterpriseSuite()...)
-	for _, w := range all {
-		if strings.EqualFold(w.Name, name) {
-			return w, true
-		}
-	}
-	// Validate the SPEC CPU2006 name before resolving it: an unknown name
-	// must become a usage error, not a recovered panic.
-	for _, n := range silo.Spec2006Names() {
-		if strings.EqualFold(n, name) {
-			return silo.Spec2006(n), true
-		}
-	}
-	return silo.Workload{}, false
 }

@@ -10,7 +10,7 @@
 //	magic    "SILOCKPT"                  (8 bytes)
 //	version  uint32 LE                   (FormatVersion)
 //	key      length-prefixed string      (robust.Key over warm inputs)
-//	meta     length-prefixed string      (human-readable JSON, for -checkpoint-ls)
+//	meta     length-prefixed string      (human-readable JSON, for paperbench checkpoint-ls)
 //	payload  section-framed component snapshots
 //	crc      uint32 LE                   (CRC-32C over key, meta and payload)
 //
@@ -51,11 +51,11 @@ const Magic = "SILOCKPT"
 // FormatVersion is bumped whenever any component's snapshot layout
 // changes; a mismatch makes Open fail and the caller rebuild from
 // scratch.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // FormatTag names the format generation inside content-hash keys, so
 // key derivation itself is versioned alongside the byte layout.
-const FormatTag = "ckpt-v1"
+const FormatTag = "ckpt-v2"
 
 // maxSliceLen bounds slice lengths read from a file before the CRC has
 // been verified, so a corrupt length cannot trigger a multi-gigabyte
@@ -523,7 +523,7 @@ var ErrVersionMismatch = errors.New("checkpoint: format version mismatch")
 // Reader positioned at the payload. Any failure — missing file, bad
 // magic, stale version, foreign key — is an error; the caller falls
 // back to a from-scratch build. An empty wantKey skips the key check
-// (used by -checkpoint-ls, which inspects every file).
+// (used by paperbench checkpoint-ls, which inspects every file).
 func Open(path, wantKey string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -11,9 +11,9 @@ import (
 )
 
 // Checkpoint-directory locking: multiple workers of a distributed
-// sweep share one -checkpoint-dir, and -checkpoint-gc pruning that
-// directory while a worker is mid-restore would yank an 800MB
-// checkpoint out from under a read in progress. A tiny flock(2)-based
+// sweep share one -checkpoint-dir, and a paperbench checkpoint-gc
+// pruning that directory while a worker is mid-restore would yank an
+// 800MB checkpoint out from under a read in progress. A tiny flock(2)-based
 // reader/writer lock on a sentinel file serializes them: restores and
 // saves hold the lock shared (they can overlap freely), GC takes it
 // exclusive and refuses — rather than waits forever — when readers

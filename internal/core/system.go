@@ -100,33 +100,25 @@ func NewSystemFromSources(cfg Config, sources []workload.Source) *System {
 		mesh:    mesh,
 		mainMem: mainMem,
 	}
+	// Each hierarchy gets its concrete adapter, so the adapter's inner
+	// call is direct (devirtualized): an access pays one interface
+	// dispatch (core -> adapter), not two.
+	var adapter cpu.Hierarchy
 	switch cfg.Kind {
 	case Baseline, BaselineDRAM, VaultsShared:
-		s.hier = newSharedHierarchy(s)
+		h := newSharedHierarchy(s)
+		s.hier, adapter = h, &sharedCoreAdapter{hier: h}
 	case SILO, SILOCO:
-		s.hier = newPrivateHierarchy(s)
+		h := newPrivateHierarchy(s)
+		s.hier, adapter = h, &privateCoreAdapter{hier: h}
 	}
 
 	s.sources = sources
 	s.cores = make([]*cpu.Core, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
-		s.cores[c] = cpu.New(engine, c, cpu.DefaultConfig(), s.sources[c], newCoreAdapter(s.hier))
+		s.cores[c] = cpu.New(engine, c, cpu.DefaultConfig(), s.sources[c], adapter)
 	}
 	return s
-}
-
-// newCoreAdapter picks the concrete adapter for the hierarchy so the
-// adapter's inner call is direct (devirtualized): each access then pays
-// one interface dispatch (core -> adapter), not two.
-func newCoreAdapter(h hierarchy) cpu.Hierarchy {
-	switch h := h.(type) {
-	case *privateHierarchy:
-		return &privateCoreAdapter{hier: h}
-	case *sharedHierarchy:
-		return &sharedCoreAdapter{hier: h}
-	default:
-		return &coreAdapter{hier: h}
-	}
 }
 
 // Config returns the system configuration.
@@ -135,32 +127,13 @@ func (s *System) Config() Config { return s.cfg }
 // Engine exposes the simulation engine (examples and tests).
 func (s *System) Engine() *sim.Engine { return s.engine }
 
-// coreAdapter implements cpu.Hierarchy over the system hierarchy. It only
-// translates latencies: completion scheduling lives in the core, which
-// reuses pre-bound callbacks, so a timed access allocates nothing here.
-// The hierarchy is captured directly (not reached through the System) so
-// each access pays one interface dispatch, not a pointer chase plus one;
-// the per-hierarchy variants below shave the second dispatch too.
-type coreAdapter struct {
-	hier hierarchy
-}
-
-var _ cpu.Hierarchy = (*coreAdapter)(nil)
-
-func (a *coreAdapter) IFetch(core int, line mem.LineAddr, jump bool) (sim.Cycle, bool) {
-	lat, hit := a.hier.ifetch(core, line, jump, true)
-	return lat, hit && lat == 0
-}
-
-func (a *coreAdapter) Data(core int, addr mem.Addr, write, rwShared, independent, nonTemporal bool) (sim.Cycle, bool) {
-	lat, hit := a.hier.data(core, addr, write, rwShared, nonTemporal, true)
-	return lat, hit && lat == 0
-}
-
-// privateCoreAdapter and sharedCoreAdapter are coreAdapter specialized to
-// a concrete hierarchy: the inner ifetch/data calls are direct, so the
-// compiler devirtualizes what would otherwise be a second indirect call
-// on every simulated access.
+// privateCoreAdapter and sharedCoreAdapter implement cpu.Hierarchy over
+// a concrete hierarchy. They only translate latencies: completion
+// scheduling lives in the core, which reuses pre-bound callbacks, so a
+// timed access allocates nothing here. The hierarchy is captured
+// directly (not reached through the System) and its inner ifetch/data
+// calls are direct, so the compiler devirtualizes what would otherwise
+// be a second indirect call on every simulated access.
 type privateCoreAdapter struct {
 	hier *privateHierarchy
 }

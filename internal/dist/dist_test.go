@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -508,5 +509,39 @@ func TestDistWorkerRefusesVersionMismatch(t *testing.T) {
 	w := NewWorker(WorkerConfig{URL: "http://" + ln.Addr().String(), MaxOffline: time.Second})
 	if err := w.Run(context.Background()); err == nil {
 		t.Fatal("worker joined a version-mismatched coordinator")
+	}
+}
+
+// Durations cross the wire exactly: a joining worker's watchdog, retry
+// backoff and lease TTL equal the coordinator's to the nanosecond, so a
+// cell times out and retries the same on a worker as in the solo loop.
+func TestDistDurationsExact(t *testing.T) {
+	cfg := Config{
+		Grid: testGrid4, Mode: testMode(),
+		CellDeadline: 1500 * time.Microsecond,
+		Backoff:      robust.Backoff{Base: 1500 * time.Microsecond, Cap: 2500 * time.Microsecond},
+		LeaseTTL:     1500*time.Millisecond + 500*time.Microsecond,
+	}
+	co, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	w := NewWorker(WorkerConfig{URL: srv.URL, ID: "w", MaxOffline: time.Second})
+	defer w.Close()
+	ctx := context.Background()
+	if err := w.fetchSpec(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if w.opts.CellDeadline != cfg.CellDeadline || w.opts.Backoff != cfg.Backoff {
+		t.Fatalf("worker options: deadline %v backoff %+v; want %v %+v", w.opts.CellDeadline, w.opts.Backoff, cfg.CellDeadline, cfg.Backoff)
+	}
+	var lease LeaseResponse
+	if err := w.post(ctx, PathLease, LeaseRequest{WorkerID: "w", Max: 1}, &lease); err != nil {
+		t.Fatal(err)
+	}
+	if len(lease.Indices) != 1 || lease.TTL != cfg.LeaseTTL {
+		t.Fatalf("lease %+v; want one cell with TTL %v", lease, cfg.LeaseTTL)
 	}
 }

@@ -1,5 +1,5 @@
 // Package dist is the distributed sweep runner (DESIGN.md §13): a
-// coordinator that partitions a -grid cell grid into lease-based work
+// coordinator that partitions a cell grid into lease-based work
 // batches served over a small HTTP+JSON protocol, and a worker client
 // that runs leased cells through the fault-tolerant grid executor
 // (internal/experiments.RunGrid, the same entry point a single-process
@@ -7,7 +7,7 @@
 //
 // The coordinator reassembles reports in enumeration order, so the
 // final output is byte-identical to a single-process `paperbench
-// -grid` run modulo wall_ms — at any worker count, and across worker
+// grid` run modulo wall_ms — at any worker count, and across worker
 // crashes: leases expire when heartbeats stop, orphaned cells are
 // reassigned to surviving workers with robust.Backoff pacing, and
 // duplicate completions (the reassignment race) merge idempotently by
@@ -34,7 +34,7 @@ import (
 // ProtocolVersion gates coordinator/worker compatibility. Bump on any
 // wire or semantics change; a mismatched worker exits with an error
 // instead of producing records the coordinator would merge wrongly.
-const ProtocolVersion = "dist-v1"
+const ProtocolVersion = "dist-v2"
 
 // Wire paths.
 const (
@@ -81,13 +81,14 @@ func (ms ModeSpec) Mode() experiments.Mode {
 
 // OptionsSpec is the wire form of the fault-tolerance options the
 // coordinator dictates to every worker, so a cell fails (or retries,
-// or times out) identically wherever it lands.
+// or times out) identically wherever it lands. Durations travel as
+// exact nanoseconds.
 type OptionsSpec struct {
-	OnError        string `json:"on_error"` // "fail" | "skip"
-	Retries        int    `json:"retries"`
-	BackoffMS      int64  `json:"backoff_ms"`
-	BackoffCapMS   int64  `json:"backoff_cap_ms"`
-	CellDeadlineMS int64  `json:"cell_deadline_ms"`
+	OnError      string        `json:"on_error"` // "fail" | "skip"
+	Retries      int           `json:"retries"`
+	Backoff      time.Duration `json:"backoff_ns"`
+	BackoffCap   time.Duration `json:"backoff_cap_ns"`
+	CellDeadline time.Duration `json:"cell_deadline_ns"`
 }
 
 // SpecResponse answers GET /spec: everything a worker needs to compile
@@ -120,14 +121,14 @@ type LeaseRequest struct {
 }
 
 // LeaseResponse grants a lease (Indices non-empty), asks the worker to
-// poll again later (empty Indices, RetryMS), or reports the sweep
+// poll again later (empty Indices, Retry), or reports the sweep
 // finished (Done) — the worker's signal to exit cleanly.
 type LeaseResponse struct {
-	LeaseID uint64 `json:"lease_id,omitempty"`
-	Indices []int  `json:"indices,omitempty"`
-	TTLMS   int64  `json:"ttl_ms,omitempty"`
-	RetryMS int64  `json:"retry_ms,omitempty"`
-	Done    bool   `json:"done,omitempty"`
+	LeaseID uint64        `json:"lease_id,omitempty"`
+	Indices []int         `json:"indices,omitempty"`
+	TTL     time.Duration `json:"ttl_ns,omitempty"`
+	Retry   time.Duration `json:"retry_ns,omitempty"`
+	Done    bool          `json:"done,omitempty"`
 }
 
 // ReportRequest delivers completed cell records (each a marshaled
@@ -162,6 +163,3 @@ type HeartbeatResponse struct {
 	Expired bool `json:"expired,omitempty"`
 	Done    bool `json:"done,omitempty"`
 }
-
-// durationMS converts wire milliseconds to a Duration.
-func durationMS(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }

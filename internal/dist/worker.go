@@ -115,7 +115,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		if len(lease.Indices) == 0 {
-			retry := durationMS(lease.RetryMS)
+			retry := lease.Retry
 			if retry <= 0 {
 				retry = 250 * time.Millisecond
 			}
@@ -181,13 +181,10 @@ func (w *Worker) fetchSpec(ctx context.Context) error {
 	w.mode.GenThreads = w.cfg.GenThreads
 	w.mode.CheckpointDir = w.cfg.CheckpointDir
 	w.opts = experiments.GridOptions{
-		OnError: onErr,
-		Retries: spec.Options.Retries,
-		Backoff: robust.Backoff{
-			Base: durationMS(spec.Options.BackoffMS),
-			Cap:  durationMS(spec.Options.BackoffCapMS),
-		},
-		CellDeadline: durationMS(spec.Options.CellDeadlineMS),
+		OnError:      onErr,
+		Retries:      spec.Options.Retries,
+		Backoff:      robust.Backoff{Base: spec.Options.Backoff, Cap: spec.Options.BackoffCap},
+		CellDeadline: spec.Options.CellDeadline,
 		Injector:     w.cfg.Injector,
 	}
 	if w.cfg.JournalPath != "" {
@@ -206,7 +203,7 @@ func (w *Worker) fetchSpec(ctx context.Context) error {
 // reports the moment it completes. Returns done=true when a report
 // response said the sweep finished.
 func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (done bool, err error) {
-	ttl := durationMS(lease.TTLMS)
+	ttl := lease.TTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}

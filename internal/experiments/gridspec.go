@@ -12,8 +12,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Textual grid specs. A grid argument is a semicolon-separated list of
-// axes:
+// Textual grid specs. A grid spec (`paperbench grid -spec`) is a
+// semicolon-separated list of axes:
 //
 //	systems=Baseline,SILO,SILO-CO;workloads=WebSearch,DataServing;overrides=scale=64|llc_mb=64
 //
@@ -31,6 +31,8 @@ import (
 
 // SystemByName maps a (case-insensitive) system name to its config
 // constructor at 16 cores (a cores= override re-targets the core count).
+// cmd/silosim resolves -system with it too, so both CLIs accept the
+// same names.
 func SystemByName(name string) (core.Config, error) {
 	switch strings.ToLower(name) {
 	case "baseline":

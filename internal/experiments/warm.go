@@ -84,8 +84,8 @@ func CheckpointPath(dir, key string) string {
 	return filepath.Join(dir, key+".ckpt")
 }
 
-// checkpointMeta is the human-readable header blob -checkpoint-ls
-// prints; it carries the key's components so a directory listing is
+// checkpointMeta is the human-readable header blob paperbench
+// checkpoint-ls prints; it carries the key's components so a directory listing is
 // self-describing.
 type checkpointMeta struct {
 	Kind      string   `json:"kind"`
@@ -196,7 +196,7 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 		mu.Lock()
 		defer mu.Unlock()
 		// Shared dir lock for the whole restore: a concurrent
-		// -checkpoint-gc (another worker's maintenance on the shared dir)
+		// checkpoint-gc (another worker's maintenance on the shared dir)
 		// must not unlink the file mid-read. Failure to lock degrades to
 		// the unlocked behavior — locking is protection, not a
 		// precondition.

@@ -1,14 +1,12 @@
 // Package noc models the on-chip interconnect: a 2D mesh with
-// dimension-ordered (XY) routing and a fixed per-hop latency, plus the chip
-// floorplan that places cores and cache banks on the mesh (paper Table II:
-// 4x4 mesh, 3 cycles/hop).
+// dimension-ordered (XY) routing and a fixed per-hop latency (paper Table
+// II: 4x4 mesh, 3 cycles/hop). Every mesh node hosts one core and, in the
+// shared-LLC designs, one LLC bank.
 //
 // The model is a latency model, not a flit-level network: the evaluated
 // systems are latency-bound, not bandwidth-bound (paper Sec. VII-A cites
 // Ferdman et al. and Google showing server CPUs are not bandwidth limited),
 // so hop-count x hop-latency captures the interconnect's contribution.
-// Per-link traffic counters are still kept so experiments can report
-// interconnect load.
 package noc
 
 import (
@@ -26,10 +24,6 @@ type Mesh struct {
 	// from*Nodes()+to): the mesh is static, and Latency sits on every
 	// miss path, so the div/mod coordinate math is paid once here.
 	lat []sim.Cycle
-
-	// traffic[n] counts messages that traversed at least one link out of
-	// node n (indexed by node id).
-	traffic []uint64
 }
 
 // New returns a mesh of the given dimensions. Paper Table II uses
@@ -42,7 +36,6 @@ func New(width, height int, hopLatency sim.Cycle) *Mesh {
 		Width:      width,
 		Height:     height,
 		HopLatency: hopLatency,
-		traffic:    make([]uint64, width*height),
 	}
 	n := m.Nodes()
 	m.lat = make([]sim.Cycle, n*n)
@@ -92,31 +85,6 @@ func (m *Mesh) RoundTrip(from, to int) sim.Cycle {
 	return 2 * m.Latency(from, to)
 }
 
-// Send records one message from -> to and returns its latency. It is the
-// traffic-accounting variant of Latency.
-func (m *Mesh) Send(from, to int) sim.Cycle {
-	m.check(to)
-	if from != to {
-		m.traffic[from]++
-	}
-	return m.Latency(from, to)
-}
-
-// Traffic returns the number of messages sent from node n.
-func (m *Mesh) Traffic(n int) uint64 {
-	m.check(n)
-	return m.traffic[n]
-}
-
-// TotalTraffic returns the number of messages that crossed any link.
-func (m *Mesh) TotalTraffic() uint64 {
-	var sum uint64
-	for _, t := range m.traffic {
-		sum += t
-	}
-	return sum
-}
-
 // AverageLatency returns the mean one-way latency from node `from` to every
 // node in `targets`, assuming uniform access — the expected NUCA bank
 // traversal time for address-interleaved data.
@@ -142,36 +110,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// Floorplan maps cores and LLC banks onto mesh nodes. In the evaluated
-// 16-core systems every mesh node hosts one core, one L1 pair, and (for
-// shared-LLC designs) one LLC bank, so both mappings are the identity; the
-// type exists so asymmetric layouts can be expressed and tested.
-type Floorplan struct {
-	Mesh     *Mesh
-	CoreNode []int // core id -> mesh node
-	BankNode []int // LLC bank id -> mesh node
-}
-
-// Uniform returns the paper's floorplan: n cores and n banks co-located
-// one per mesh node.
-func Uniform(m *Mesh) *Floorplan {
-	n := m.Nodes()
-	f := &Floorplan{Mesh: m, CoreNode: make([]int, n), BankNode: make([]int, n)}
-	for i := 0; i < n; i++ {
-		f.CoreNode[i] = i
-		f.BankNode[i] = i
-	}
-	return f
-}
-
-// CoreToBank returns the one-way latency from a core to an LLC bank.
-func (f *Floorplan) CoreToBank(core, bank int) sim.Cycle {
-	return f.Mesh.Latency(f.CoreNode[core], f.BankNode[bank])
-}
-
-// CoreToCore returns the one-way latency between two cores.
-func (f *Floorplan) CoreToCore(a, b int) sim.Cycle {
-	return f.Mesh.Latency(f.CoreNode[a], f.CoreNode[b])
 }

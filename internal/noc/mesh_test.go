@@ -64,23 +64,6 @@ func TestHopsMetricProperties(t *testing.T) {
 	}
 }
 
-func TestSendCountsTraffic(t *testing.T) {
-	m := New(4, 4, 3)
-	m.Send(0, 15)
-	m.Send(0, 1)
-	m.Send(3, 3) // self: no link crossed
-	if m.Traffic(0) != 2 || m.Traffic(3) != 0 {
-		t.Fatalf("traffic = %d, %d; want 2, 0", m.Traffic(0), m.Traffic(3))
-	}
-	if m.TotalTraffic() != 2 {
-		t.Fatalf("TotalTraffic = %d, want 2", m.TotalTraffic())
-	}
-}
-
-// The paper's baseline: average LLC round trip including a 5-cycle bank
-// access is ~23 cycles on the 4x4 mesh. Average one-way distance from a
-// corner-ish core across 16 interleaved banks x 3 cycles/hop x 2 (round
-// trip) + 5 ~ 23.
 func TestBaselineNUCARoundTripMatchesPaper(t *testing.T) {
 	m := New(4, 4, 3)
 	banks := make([]int, 16)
@@ -96,23 +79,6 @@ func TestBaselineNUCARoundTripMatchesPaper(t *testing.T) {
 	rt := 2*avgOneWay + 5 // + bank access
 	if rt < 19 || rt > 24 {
 		t.Fatalf("average NUCA round trip = %.1f cycles, want ~20-23 (paper: 23)", rt)
-	}
-}
-
-func TestUniformFloorplan(t *testing.T) {
-	m := New(4, 4, 3)
-	f := Uniform(m)
-	if len(f.CoreNode) != 16 || len(f.BankNode) != 16 {
-		t.Fatal("floorplan should place 16 cores and banks")
-	}
-	if f.CoreToBank(0, 0) != 0 {
-		t.Fatal("co-located core/bank should have zero latency")
-	}
-	if f.CoreToBank(0, 15) != 18 {
-		t.Fatalf("CoreToBank(0,15) = %d, want 18", f.CoreToBank(0, 15))
-	}
-	if f.CoreToCore(0, 5) != 6 {
-		t.Fatalf("CoreToCore(0,5) = %d, want 6", f.CoreToCore(0, 5))
 	}
 }
 

@@ -78,29 +78,6 @@ func TestKeyIsStableAndInjective(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.json")
-	if err := WriteFileAtomic(path, []byte("v1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("v2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "v2\n" {
-		t.Fatalf("content %q err %v", data, err)
-	}
-	// No temp litter.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("directory has %d entries, want just the target", len(ents))
-	}
-}
-
 func TestCommitFile(t *testing.T) {
 	dir := t.TempDir()
 	tmp := filepath.Join(dir, "out.tmp")
