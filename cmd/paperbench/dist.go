@@ -83,7 +83,6 @@ func runWorker(c *cliConfig, mode experiments.Mode) int {
 		URL:           strings.TrimRight(c.url, "/"),
 		ID:            c.id,
 		Parallelism:   mode.Parallelism,
-		GenThreads:    mode.GenThreads,
 		CheckpointDir: mode.CheckpointDir,
 		JournalPath:   c.journal,
 		MaxOffline:    c.maxOffline,

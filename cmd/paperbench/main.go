@@ -47,7 +47,6 @@ import (
 type cliConfig struct {
 	// Host group: every simulating subcommand.
 	parallel      int
-	genThreads    int
 	checkpointDir string // also checkpoint-ls and checkpoint-gc
 	cpuprofile    string
 	memprofile    string
@@ -193,10 +192,9 @@ func usage(args []string) {
 }
 
 // hostFlags registers the host-layout knobs every simulating subcommand
-// takes. None of them changes a result (DESIGN.md §11-§12).
+// takes. None of them changes a result (DESIGN.md §11).
 func hostFlags(fs *flag.FlagSet, c *cliConfig) {
 	boundedVar(fs, &c.parallel, "parallel", 0, false, "experiment worker pool size (0 = all cores, 1 = sequential)")
-	boundedVar(fs, &c.genThreads, "gen-threads", 0, false, "per-simulation trace-generation goroutines feeding the cores' op rings (0 = synchronous in-thread generation; results are bit-identical at any value)")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "restore warmed systems from this directory when a matching warm-state checkpoint exists, and save one after every cold warm-up (DESIGN.md §11); results are bit-identical either way")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf PRs)")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -310,7 +308,6 @@ func simulating(run func(*cliConfig, experiments.Mode) int) func(*cliConfig) int
 			mode = experiments.Full()
 		}
 		mode.Parallelism = c.parallel
-		mode.GenThreads = c.genThreads
 		var ckptStats experiments.CheckpointStats
 		if c.checkpointDir != "" {
 			mode.CheckpointDir = c.checkpointDir

@@ -156,9 +156,10 @@ func TestGridWindowsCheckedInBothModes(t *testing.T) {
 }
 
 // Each subcommand parses only its own flags: a flag another subcommand
-// owns is a usage error naming that flag, raised before any work. The
-// last four rows mix modes the way a shared FlagSet would accept while
-// silently ignoring the flags the chosen mode does not read.
+// owns, or one no subcommand has any more (-gen-threads), is a usage
+// error naming that flag, raised before any work. The last four rows mix
+// modes the way a shared FlagSet would accept while silently ignoring
+// the flags the chosen mode does not read.
 func TestForeignFlagRejected(t *testing.T) {
 	for _, c := range []struct {
 		args    []string
@@ -170,6 +171,7 @@ func TestForeignFlagRejected(t *testing.T) {
 		{[]string{"worker", "-url", "http://x", "-full"}, "-full"},
 		{[]string{"checkpoint-gc", "-checkpoint-dir", "ck", "-days", "1", "-parallel", "2"}, "-parallel"},
 		{[]string{"record-trace", "-out", "t.rpt", "-journal", "j.jl"}, "-journal"},
+		{[]string{"grid", "-gen-threads", "0"}, "-gen-threads"},
 		{[]string{"mask-wall-ms", "-checkpoint-dir", "ck"}, "-checkpoint-dir"},
 		{[]string{"checkpoint-ls", "-checkpoint-dir", "ck", "-days", "0"}, "-days"},
 		{[]string{"figures", "-only", "table1", "-journal", "j.jl", "-windows", "4", "-resume"}, "-journal"},
@@ -187,7 +189,6 @@ func TestForeignFlagRejected(t *testing.T) {
 func TestBoundedFlagRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"grid", "-parallel", "-1"},
-		{"figures", "-gen-threads", "-1"},
 		{"grid", "-retries", "-1"},
 		{"grid", "-cell-deadline", "0"},
 		{"serve", "-retry-backoff", "-5ms"},

@@ -51,6 +51,10 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "silosim: -parallel %d is negative (0 = all cores, 1 = sequential, N = N workers)\n", *parallel)
 		return 2
 	}
+	if *measure == 0 {
+		fmt.Fprintln(os.Stderr, "silosim: -measure-cycles must be positive")
+		return 2
+	}
 
 	spec, err := experiments.WorkloadByName(*name)
 	if err != nil {

@@ -18,3 +18,15 @@ func TestSystemNameRoundTrips(t *testing.T) {
 		t.Fatalf("output starts %q, want %q", out.String(), want)
 	}
 }
+
+// A zero-length measurement window is a usage error, for one system and
+// for -system all alike, caught before anything is simulated.
+func TestZeroMeasureCyclesRejected(t *testing.T) {
+	for _, system := range []string{"silo", "all"} {
+		var out bytes.Buffer
+		args := []string{"-system", system, "-measure-cycles", "0"}
+		if code := run(args, &out); code != 2 || out.Len() != 0 {
+			t.Errorf("run(%q) exited %d with output %q; want exit 2 and no output", args, code, out.String())
+		}
+	}
+}

@@ -571,9 +571,6 @@ func (a *Array) ForEach(fn func(line mem.LineAddr, st State)) {
 	}
 }
 
-// SetOf exposes the set index for interleaving and diagnostics.
-func (a *Array) SetOf(line mem.LineAddr) int { return a.set(line) }
-
 // BankSelect address-interleaves lines across banks: consecutive lines map
 // to consecutive banks (paper: S-NUCA address interleaving). banks must be
 // a power of two.

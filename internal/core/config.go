@@ -21,9 +21,10 @@
 // instructions from checkpoints. A reproduction must reach steady-state
 // cache contents inside tractable windows, so every LLC-level capacity and
 // every LLC-level workload footprint is divided by Config.Scale (default
-// 16) while latencies, core parameters and L1 sizes stay at paper values.
-// Hit rates depend on the capacity:footprint ratio, which scaling
-// preserves; all reported capacities use paper-scale labels. This
+// 16) while latencies and core parameters stay at paper values. The L1s
+// (with a 2 KB floor) and optional L2s scale too, so every level keeps
+// its capacity:footprint ratio. Hit rates depend on that ratio, which
+// scaling preserves; all reported capacities use paper-scale labels. This
 // substitution is recorded in DESIGN.md §2.
 package core
 
@@ -118,11 +119,11 @@ type Config struct {
 	LocalMissPredictor bool
 	DirectoryCache     bool
 
-	// GenThreads moves trace generation off the timing thread: N > 0 runs
-	// the cores' workload streams on min(N, Cores) producer goroutines
-	// feeding per-core SPSC block rings (DESIGN.md §12); 0 keeps the
-	// synchronous in-thread path. Host-side only — simulation results are
-	// bit-identical at every value.
+	// GenThreads must be 0: trace generation runs on the timing thread
+	// (DESIGN.md §12). Validate panics on any other value.
+	//
+	// Deprecated: perfbench is the only remaining user; delete the field
+	// once perfbench stops setting it.
 	GenThreads int
 
 	// Interconnect and memory.
@@ -238,8 +239,8 @@ func (c *Config) Validate() {
 	if c.RWSharedMult < 1 {
 		panic("core: RWSharedMult must be >= 1")
 	}
-	if c.GenThreads < 0 {
-		panic(fmt.Sprintf("core: GenThreads %d must be >= 0", c.GenThreads))
+	if c.GenThreads != 0 {
+		panic(fmt.Sprintf("core: GenThreads %d must be 0 (off-thread generation was removed)", c.GenThreads))
 	}
 }
 

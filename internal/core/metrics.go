@@ -32,27 +32,6 @@ type Stats struct {
 	Upgrades      uint64
 }
 
-// sub returns s - o field-wise.
-func (s Stats) sub(o Stats) Stats {
-	return Stats{
-		LLCAccesses:    s.LLCAccesses - o.LLCAccesses,
-		LocalHits:      s.LocalHits - o.LocalHits,
-		RemoteHits:     s.RemoteHits - o.RemoteHits,
-		Misses:         s.Misses - o.Misses,
-		Reads:          s.Reads - o.Reads,
-		WritesPrivate:  s.WritesPrivate - o.WritesPrivate,
-		WritesRWShared: s.WritesRWShared - o.WritesRWShared,
-		MemAccesses:    s.MemAccesses - o.MemAccesses,
-		MemWritebacks:  s.MemWritebacks - o.MemWritebacks,
-		VaultAccesses:  s.VaultAccesses - o.VaultAccesses,
-		DRAMCacheHits:  s.DRAMCacheHits - o.DRAMCacheHits,
-		Invalidations:  s.Invalidations - o.Invalidations,
-		Forwards:       s.Forwards - o.Forwards,
-		DirAccesses:    s.DirAccesses - o.DirAccesses,
-		Upgrades:       s.Upgrades - o.Upgrades,
-	}
-}
-
 // Metrics summarizes one measured window.
 type Metrics struct {
 	Kind    Kind

@@ -49,10 +49,6 @@ type System struct {
 	cores   []*cpu.Core
 	sources []workload.Source
 	started bool
-	// producers feed the cores' SPSC op rings during the timed phase when
-	// cfg.GenThreads > 0; nil on the synchronous path. Owned by startCores,
-	// released by Close.
-	producers *workload.ProducerSet
 }
 
 // NewSystem builds a system running the given per-core workloads. specs
@@ -174,18 +170,10 @@ const warmChunk = 2000
 // WarmFunctional streams instrPerCore instructions per core through the
 // hierarchy with no timing, in round-robin chunks, bringing caches,
 // directories and the DRAM cache to steady state (the reproduction's
-// substitute for the paper's checkpoint-based warm-up). With
-// cfg.GenThreads > 0 the op streams are generated by producer goroutines
-// and consumed off per-core rings — same ops, same interleave, same final
-// state (the determinism contract, DESIGN.md §12), but the dominant
-// generation cost overlaps the hierarchy walks.
+// substitute for the paper's checkpoint-based warm-up).
 func (s *System) WarmFunctional(instrPerCore int) {
 	if s.started {
 		panic("core: warm-up after timing start")
-	}
-	if s.cfg.GenThreads > 0 {
-		s.warmRing(instrPerCore)
-		return
 	}
 	var op workload.Op
 	for done := 0; done < instrPerCore; done += warmChunk {
@@ -213,52 +201,11 @@ func (s *System) warmOne(c int, op *workload.Op) {
 	}
 }
 
-// warmRing is WarmFunctional's off-thread path: budgeted producers
-// (exactly instrPerCore ops per stream) feed per-core rings while this
-// goroutine walks the hierarchy in the same per-core chunk interleave as
-// the synchronous loop. The producers are joined before returning, and
-// the drain assertion pins the checkpoint rule: every ring is quiescent
-// and every stream sits exactly instrPerCore ops in, so warm state cut
-// here is identical to the synchronous path's.
-func (s *System) warmRing(instrPerCore int) {
-	ps := workload.StartProducers(s.sources, s.cfg.GenThreads, int64(instrPerCore))
-	cur := make([][]workload.Op, s.cfg.Cores)
-	for done := 0; done < instrPerCore; done += warmChunk {
-		n := warmChunk
-		if instrPerCore-done < n {
-			n = instrPerCore - done
-		}
-		for c := 0; c < s.cfg.Cores; c++ {
-			for i := 0; i < n; i++ {
-				if len(cur[c]) == 0 {
-					cur[c] = ps.Ring(c).NextBlock()
-				}
-				s.warmOne(c, &cur[c][0])
-				cur[c] = cur[c][1:]
-			}
-		}
-	}
-	for c := 0; c < s.cfg.Cores; c++ {
-		if len(cur[c]) != 0 || !ps.Ring(c).Drained() {
-			panic("core: ring warm-up consumer and producers disagree on the op budget")
-		}
-	}
-	ps.Wait()
-	ps.Close()
-}
-
-// startCores transitions the system into the timed phase: unbudgeted
-// producers and per-core rings when cfg.GenThreads > 0, then the cores
-// themselves. Idempotent; shared by Run and StreamWindows.
+// startCores transitions the system into the timed phase. Idempotent;
+// shared by Run and StreamWindows.
 func (s *System) startCores() {
 	if s.started {
 		return
-	}
-	if s.cfg.GenThreads > 0 {
-		s.producers = workload.StartProducers(s.sources, s.cfg.GenThreads, -1)
-		for i, c := range s.cores {
-			c.AttachRing(s.producers.Ring(i))
-		}
 	}
 	for _, c := range s.cores {
 		c.Start()
@@ -266,44 +213,19 @@ func (s *System) startCores() {
 	s.started = true
 }
 
-// Close stops the producer goroutines started by startCores (no-op on the
-// synchronous path; idempotent). Call it when done with a GenThreads > 0
-// system — from the consuming goroutine, never concurrently with Run.
-func (s *System) Close() {
-	if s.producers != nil {
-		s.producers.Close()
-		s.producers = nil
-	}
-}
+// Close does nothing: a System holds no goroutines or other resources.
+//
+// Deprecated: perfbench is the only remaining caller; delete the method
+// once perfbench stops calling it.
+func (s *System) Close() {}
 
 // Run starts the cores (if needed), runs warmCycles of timed warm-up, then
 // measures for measureCycles and returns the window's metrics — the
-// SMARTS-style scheme of paper Sec. VI-D.
+// SMARTS-style scheme of paper Sec. VI-D. It is the first window of
+// StreamWindows(warmCycles, measureCycles), so measureCycles must be
+// positive; the returned PerCoreRetired belongs to the caller.
 func (s *System) Run(warmCycles, measureCycles sim.Cycle) Metrics {
-	s.startCores()
-	s.engine.Run(s.engine.Now() + warmCycles)
-
-	startStats := s.hier.stats()
-	startRetired := make([]uint64, s.cfg.Cores)
-	var startTotal uint64
-	for i, c := range s.cores {
-		startRetired[i] = c.Retired
-		startTotal += c.Retired
-	}
-
-	s.engine.Run(s.engine.Now() + measureCycles)
-
-	m := Metrics{
-		Kind:           s.cfg.Kind,
-		Cycles:         measureCycles,
-		PerCoreRetired: make([]uint64, s.cfg.Cores),
-		Stats:          s.hier.stats().sub(startStats),
-	}
-	for i, c := range s.cores {
-		m.PerCoreRetired[i] = c.Retired - startRetired[i]
-		m.Retired += m.PerCoreRetired[i]
-	}
-	return m
+	return *s.StreamWindows(warmCycles, measureCycles).Next()
 }
 
 // CheckInvariants exposes hierarchy invariant checking to tests.

@@ -55,6 +55,7 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := SILOConfig(16); c.VaultCapacity = 0; return c },
 		func() Config { c := BaselineDRAMConfig(16); c.DRAMCache.SizeBytes = 0; return c },
 		func() Config { c := BaselineConfig(16); c.RWSharedMult = 0; return c },
+		func() Config { c := SILOConfig(16); c.GenThreads = 1; return c },
 	}
 	for i, mk := range bad {
 		func() {

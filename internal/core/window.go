@@ -6,15 +6,16 @@ import (
 )
 
 // Streamed per-window measurement (DESIGN.md §9). The historical pattern —
-// call Run once per window, retain every Metrics, post-process at the end —
-// keeps O(windows) state, which paper-scale sweeps with thousands of
-// windows cannot afford. WindowStream replaces it with incremental
-// emission: each window's Metrics is derived from the cumulative counters
-// through a stats.WindowEmitter (exact uint64 subtraction, so the stream
-// is bit-identical to back-to-back Run calls), per-window summaries
-// accumulate online (Welford, O(1) per metric), and the Metrics handed to
-// the caller reuses one buffer, so memory stays constant no matter how
-// many windows stream through.
+// snapshot the counters around each window, retain every Metrics,
+// post-process at the end — keeps O(windows) state, which paper-scale
+// sweeps with thousands of windows cannot afford. WindowStream replaces
+// it with incremental emission: each window's Metrics is derived from the
+// cumulative counters through a stats.WindowEmitter (exact uint64
+// subtraction, so the stream is bit-identical to snapshot subtraction),
+// the per-window IPC summary accumulates online (Welford, O(1)), and the
+// Metrics handed to the caller reuses one buffer, so memory stays
+// constant no matter how many windows stream through. Run is the first
+// window of a fresh stream.
 
 // statNames is the fixed flattening order of the Stats counters for
 // streaming — appendCounters and statsFromDeltas must agree with it.
@@ -57,8 +58,7 @@ type WindowStream struct {
 
 // StreamWindows starts the system's cores (if needed), runs warmCycles of
 // timed warm-up, and returns a stream primed at the post-warm-up counter
-// state: the first Next measures the first window after warm-up, exactly
-// like Run(warmCycles, window) would.
+// state: the first Next measures the first window after warm-up.
 func (s *System) StreamWindows(warmCycles, window sim.Cycle) *WindowStream {
 	if window <= 0 {
 		panic("core: non-positive window length")
@@ -109,7 +109,7 @@ func (ws *WindowStream) Next() *Metrics {
 }
 
 // emit converts the current cumulative counters into the just-finished
-// window's Metrics and folds the per-window summaries forward.
+// window's Metrics and folds its IPC into the summary.
 func (ws *WindowStream) emit() *Metrics {
 	delta := ws.em.Emit(ws.cumulative())
 	ws.m.Stats = statsFromDeltas(delta)
@@ -130,17 +130,3 @@ func (ws *WindowStream) Windows() uint64 { return ws.em.Windows() }
 // variance, extrema and t-based confidence intervals over the windows
 // streamed so far.
 func (ws *WindowStream) IPC() *stats.Welford { return &ws.ipc }
-
-// CounterNames returns the streamed metric names in emitter order: the
-// Stats counters, then one "retired" entry per core.
-func (ws *WindowStream) CounterNames() []string {
-	names := make([]string, ws.em.Metrics())
-	for i := range names {
-		names[i] = ws.em.Name(i)
-	}
-	return names
-}
-
-// Counter returns the per-window accumulator of the i-th streamed metric
-// (CounterNames order).
-func (ws *WindowStream) Counter(i int) *stats.Welford { return ws.em.Acc(i) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -20,11 +21,57 @@ func fig10Cell(cfg Config) *System {
 	return sys
 }
 
+// sub returns s - o field-wise.
+func (s Stats) sub(o Stats) Stats {
+	return Stats{
+		LLCAccesses:    s.LLCAccesses - o.LLCAccesses,
+		LocalHits:      s.LocalHits - o.LocalHits,
+		RemoteHits:     s.RemoteHits - o.RemoteHits,
+		Misses:         s.Misses - o.Misses,
+		Reads:          s.Reads - o.Reads,
+		WritesPrivate:  s.WritesPrivate - o.WritesPrivate,
+		WritesRWShared: s.WritesRWShared - o.WritesRWShared,
+		MemAccesses:    s.MemAccesses - o.MemAccesses,
+		MemWritebacks:  s.MemWritebacks - o.MemWritebacks,
+		VaultAccesses:  s.VaultAccesses - o.VaultAccesses,
+		DRAMCacheHits:  s.DRAMCacheHits - o.DRAMCacheHits,
+		Invalidations:  s.Invalidations - o.Invalidations,
+		Forwards:       s.Forwards - o.Forwards,
+		DirAccesses:    s.DirAccesses - o.DirAccesses,
+		Upgrades:       s.Upgrades - o.Upgrades,
+	}
+}
+
+// snapshotWindow is the reference measurement: snapshot the hierarchy
+// counters and every core's retired count, advance the engine one
+// window, and subtract. It shares nothing with WindowStream but the
+// simulation itself.
+func snapshotWindow(s *System, window sim.Cycle) Metrics {
+	startStats := s.hier.stats()
+	startRetired := make([]uint64, len(s.cores))
+	for i, c := range s.cores {
+		startRetired[i] = c.Retired
+	}
+	s.engine.Run(s.engine.Now() + window)
+	m := Metrics{
+		Kind:           s.cfg.Kind,
+		Cycles:         window,
+		PerCoreRetired: make([]uint64, len(s.cores)),
+		Stats:          s.hier.stats().sub(startStats),
+	}
+	for i, c := range s.cores {
+		m.PerCoreRetired[i] = c.Retired - startRetired[i]
+		m.Retired += m.PerCoreRetired[i]
+	}
+	return m
+}
+
 // The streamed-window contract (DESIGN.md §9): WindowStream's per-window
 // Metrics are bit-identical — every counter, every per-core retired
-// count — to the historical snapshot-subtract path (back-to-back Run
-// calls) on the same deterministic system. Both hierarchy families are
-// covered: SILO (private vaults + directory) and Baseline (shared NUCA).
+// count — to snapshot subtraction around each window on the same
+// deterministic system, and so are back-to-back Run calls. Both
+// hierarchy families are covered: SILO (private vaults + directory) and
+// Baseline (shared NUCA).
 func TestWindowStreamMatchesSnapshotSubtractFig10(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -36,16 +83,14 @@ func TestWindowStreamMatchesSnapshotSubtractFig10(t *testing.T) {
 	)
 	for _, cfg := range []Config{SILOConfig(16), BaselineConfig(16)} {
 		t.Run(cfg.Kind.String(), func(t *testing.T) {
-			// Reference: the snapshot-subtract path, one Run per window.
+			// Reference: snapshot and subtract around each window.
 			ref := fig10Cell(cfg)
+			ref.startCores()
+			ref.engine.Run(ref.engine.Now() + warm)
 			var want []Metrics
 			var wantIPC stats.Welford
 			for w := 0; w < windows; w++ {
-				wc := sim.Cycle(0)
-				if w == 0 {
-					wc = warm
-				}
-				m := ref.Run(wc, window)
+				m := snapshotWindow(ref, window)
 				want = append(want, m)
 				wantIPC.Add(m.IPC())
 			}
@@ -75,6 +120,21 @@ func TestWindowStreamMatchesSnapshotSubtractFig10(t *testing.T) {
 				ipc.Variance() != wantIPC.Variance() ||
 				ipc.Min() != wantIPC.Min() || ipc.Max() != wantIPC.Max() {
 				t.Fatalf("IPC accumulator diverged: %+v vs %+v", *ipc, wantIPC)
+			}
+
+			// Back-to-back Run calls measure the same windows, and each
+			// returned PerCoreRetired survives the calls after it.
+			runSys := fig10Cell(cfg)
+			got := make([]Metrics, windows)
+			for w := range got {
+				wc := sim.Cycle(0)
+				if w == 0 {
+					wc = warm
+				}
+				got[w] = runSys.Run(wc, window)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("back-to-back Run diverged from the reference:\nRun       %+v\nreference %+v", got, want)
 			}
 		})
 	}

@@ -66,7 +66,6 @@ type Core struct {
 	engine *sim.Engine
 	stream workload.Source
 	path   Hierarchy
-	ring   *workload.Ring // nil = synchronous NextBatch refills
 	mlp    int
 
 	// Pre-generated op batch (stream.NextBatch) the issue loop consumes
@@ -138,21 +137,6 @@ func (c *Core) Start() {
 	c.engine.Schedule(0, c.stepFn)
 }
 
-// AttachRing switches the core's batch refills from synchronous NextBatch
-// to consuming blocks off an SPSC ring fed by a producer goroutine. The
-// op sequence is identical either way (the ring's determinism contract,
-// DESIGN.md §12); only the host thread doing the generation changes. Must
-// be called before Start, with any buffered batch fully consumed.
-func (c *Core) AttachRing(r *workload.Ring) {
-	if c.running {
-		panic("cpu: AttachRing on a started core")
-	}
-	if c.opNext != c.opEnd {
-		panic("cpu: AttachRing with buffered ops pending")
-	}
-	c.ring = r
-}
-
 // computeCycles converts an instruction run into cycles at the issue width.
 func (c *Core) computeCycles(instr int) sim.Cycle {
 	return sim.Cycle((instr + c.cfg.Width - 1) / c.cfg.Width)
@@ -178,15 +162,7 @@ func (c *Core) step() {
 			c.haveStalled = false
 		} else {
 			if c.opNext == c.opEnd {
-				if c.ring != nil {
-					// Zero-copy: point the batch cursor at the published
-					// block. The block stays valid until the next NextBlock,
-					// i.e. exactly until this batch is consumed.
-					c.ops = c.ring.NextBlock()
-					c.opEnd = len(c.ops)
-				} else {
-					c.opEnd = c.stream.NextBatch(c.ops)
-				}
+				c.opEnd = c.stream.NextBatch(c.ops)
 				c.opNext = 0
 			}
 			op = c.ops[c.opNext]

@@ -17,7 +17,7 @@ func (c *Core) Snapshot(w *checkpoint.Writer) {
 	w.I64(int64(c.ID))
 	idle := !c.running && !c.haveStalled && !c.waitAny &&
 		c.outstanding == 0 && c.waitToken == 0 && c.deferred == 0 &&
-		c.opNext == c.opEnd && c.ring == nil
+		c.opNext == c.opEnd
 	w.Bool(idle)
 	w.U64(c.tokens)
 	w.U64(c.Retired)

@@ -45,9 +45,9 @@ const (
 )
 
 // ModeSpec is the wire form of experiments.Mode: only the fields that
-// determine emitted bytes travel. Parallelism, GenThreads and
-// CheckpointDir are host-layout knobs each worker sets from its own
-// flags — none of them changes a record (DESIGN.md §11-§12).
+// determine emitted bytes travel. Parallelism and CheckpointDir are
+// host-layout knobs each worker sets from its own flags — neither
+// changes a record (DESIGN.md §11).
 type ModeSpec struct {
 	Name          string `json:"name"`
 	WarmInstr     int    `json:"warm_instr"`

@@ -28,10 +28,9 @@ type WorkerConfig struct {
 	URL string // coordinator base URL, e.g. http://host:9377
 	ID  string // worker identity for leases/logs; default "host:pid"
 
-	// Host-layout knobs, the worker's own flags (DESIGN.md §11-§12:
-	// none of them changes emitted bytes).
+	// Host-layout knobs, the worker's own flags (DESIGN.md §11: none of
+	// them changes emitted bytes).
 	Parallelism   int
-	GenThreads    int
 	CheckpointDir string
 
 	// JournalPath, when set, keeps a per-shard journal of completed
@@ -178,7 +177,6 @@ func (w *Worker) fetchSpec(ctx context.Context) error {
 	w.spec = g
 	w.mode = spec.Mode.Mode()
 	w.mode.Parallelism = w.cfg.Parallelism
-	w.mode.GenThreads = w.cfg.GenThreads
 	w.mode.CheckpointDir = w.cfg.CheckpointDir
 	w.opts = experiments.GridOptions{
 		OnError:      onErr,

@@ -50,11 +50,6 @@ type Mode struct {
 	// Checkpoints, when non-nil, accumulates restore/save counters across
 	// the run (paperbench prints them on exit).
 	Checkpoints *CheckpointStats
-	// GenThreads threads core.Config.GenThreads through every cell: > 0
-	// moves trace generation onto producer goroutines feeding per-core
-	// rings. Results are bit-identical at any setting (DESIGN.md §12);
-	// only the host-thread layout changes.
-	GenThreads int
 }
 
 // Quick is the test/bench mode.
@@ -75,9 +70,7 @@ func Full() Mode {
 // reported metrics.
 func runOne(cfg core.Config, specs []workload.Spec, m Mode) core.Metrics {
 	cfg.Scale = m.Scale
-	cfg.GenThreads = m.GenThreads
 	sys, _ := buildWarm(cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil)
-	defer sys.Close()
 	met := sys.Run(m.WarmCycles, m.MeasureCycles)
 	if msg := sys.CheckInvariants(); msg != "" {
 		panic("invariant violation: " + msg)

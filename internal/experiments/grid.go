@@ -182,7 +182,6 @@ func (g GridSpec) enumerate(m Mode) []gridCell {
 			for _, ov := range g.Overrides {
 				cfg := sys
 				cfg.Scale = m.Scale
-				cfg.GenThreads = m.GenThreads
 				ov.Apply(&cfg)
 				cells = append(cells, gridCell{
 					index:      len(cells),
@@ -250,10 +249,6 @@ func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector,
 	} else {
 		sys, _ = buildWarm(c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
 	}
-	// Producer goroutines (GenThreads > 0) must die on every exit path —
-	// normal completion, invariant panic, injected cell panic — or a
-	// skip-mode sweep would leak a producer set per failed cell.
-	defer sys.Close()
 	ph.set("measure")
 	ws := sys.StreamWindows(m.WarmCycles, window)
 	var retired, llcAccesses, hits, misses uint64

@@ -12,10 +12,10 @@ import (
 )
 
 // Scenario cells ride the same grid engine as workload cells, so every
-// determinism contract — byte-identity across parallelism, gen-threads,
+// determinism contract — byte-identity across parallelism and
 // checkpoint restore — must extend to them unchanged. These tests are
-// the package-level half of the ISSUE acceptance criteria; the CI
-// scenario smoke covers the CLI-level half.
+// the package-level half of that contract; the CI scenario smoke covers
+// the CLI-level half.
 
 // testScenarioSpec is a two-client consolidation: a phased web tier and
 // a steady batch job sharing group 0 (one address space) on 16 cores.
@@ -57,8 +57,8 @@ func scenarioGrid(t *testing.T) GridSpec {
 }
 
 // TestScenarioGridDeterminism: byte-identical records (modulo wall_ms,
-// zeroed by jsonLines) across parallelism 1/5 and gen-threads 0/4 — the
-// full cross, since scenario sources ride the same batch-refill seam.
+// zeroed by jsonLines) across parallelism 1/5, since scenario sources
+// ride the same batch-refill seam.
 func TestScenarioGridDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -70,13 +70,10 @@ func TestScenarioGridDeterminism(t *testing.T) {
 		t.Fatal("no scenario cells in the sweep output")
 	}
 	for _, par := range []int{1, 5} {
-		for _, gen := range []int{0, 4} {
-			vm := m
-			vm.Parallelism = par
-			vm.GenThreads = gen
-			if got := jsonLines(collectGrid(t, g, vm)); !bytes.Equal(got, want) {
-				t.Fatalf("parallel=%d gen-threads=%d scenario grid diverged", par, gen)
-			}
+		vm := m
+		vm.Parallelism = par
+		if got := jsonLines(collectGrid(t, g, vm)); !bytes.Equal(got, want) {
+			t.Fatalf("parallel=%d scenario grid diverged", par)
 		}
 	}
 }

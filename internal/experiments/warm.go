@@ -48,10 +48,6 @@ func checkpointKeyConfig(cfg core.Config) core.Config {
 	cfg.RWSharedMult = 1
 	cfg.HopLatency = 0
 	cfg.LLCFixedOverhead = 0
-	// GenThreads only changes which host thread runs the generator; the
-	// warmed state is bit-identical (ring drain rule, DESIGN.md §12), so
-	// every gen-thread setting shares one checkpoint.
-	cfg.GenThreads = 0
 	return cfg
 }
 

@@ -37,9 +37,6 @@ const (
 	Write
 )
 
-// IsWrite reports whether the op modifies the line.
-func (o Op) IsWrite() bool { return o == Write }
-
 func (o Op) String() string {
 	switch o {
 	case IFetch:

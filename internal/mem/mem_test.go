@@ -49,12 +49,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestOpIsWrite(t *testing.T) {
-	if IFetch.IsWrite() || Read.IsWrite() || !Write.IsWrite() {
-		t.Fatal("IsWrite misclassifies")
-	}
-}
-
 func TestFixedLatencyPort(t *testing.T) {
 	e := sim.NewEngine()
 	p := &FixedLatencyPort{Engine: e, Latency: 42}

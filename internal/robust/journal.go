@@ -121,9 +121,6 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f, path: path, entries: entries, dropped: len(data) - good}, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Len returns the number of loaded + appended entries.
 func (j *Journal) Len() int {
 	j.mu.Lock()

@@ -1,5 +1,7 @@
 // Package stats provides the small numeric helpers the experiment harness
-// needs: geometric means, normalization, and percentage formatting.
+// needs: geometric and arithmetic means, normalization, extrema and
+// medians. stream.go adds online accumulators, Student-t intervals and
+// windowed emission.
 package stats
 
 import (
@@ -48,14 +50,6 @@ func Normalize(xs []float64, base float64) []float64 {
 	return out
 }
 
-// Pct formats a ratio r as a signed percentage change, e.g. 1.28 -> "+28.0%".
-func Pct(r float64) string {
-	return fmt.Sprintf("%+.1f%%", (r-1)*100)
-}
-
-// Ratio formats r with two decimals, e.g. "1.28x".
-func Ratio(r float64) string { return fmt.Sprintf("%.2fx", r) }
-
 // Min returns the smallest element of xs. It panics on empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -97,21 +91,4 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Inc adds n to the counter.
-func (c *Counter) Inc(n uint64) { c.Value += n }
-
-// RatioOf returns c.Value / total, or 0 when total is zero.
-func RatioOf(part, total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(part) / float64(total)
 }

@@ -72,18 +72,6 @@ func TestNormalizeDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPctAndRatio(t *testing.T) {
-	if Pct(1.28) != "+28.0%" {
-		t.Fatalf("Pct(1.28) = %q", Pct(1.28))
-	}
-	if Pct(0.9) != "-10.0%" {
-		t.Fatalf("Pct(0.9) = %q", Pct(0.9))
-	}
-	if Ratio(1.275) != "1.27x" && Ratio(1.275) != "1.28x" {
-		t.Fatalf("Ratio(1.275) = %q", Ratio(1.275))
-	}
-}
-
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if Min(xs) != 1 || Max(xs) != 5 || Median(xs) != 3 {
@@ -91,23 +79,5 @@ func TestMinMaxMedian(t *testing.T) {
 	}
 	if Median([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("even-length median wrong")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "hits"}
-	c.Inc(3)
-	c.Inc(2)
-	if c.Value != 5 {
-		t.Fatalf("Counter = %d, want 5", c.Value)
-	}
-}
-
-func TestRatioOf(t *testing.T) {
-	if RatioOf(1, 0) != 0 {
-		t.Fatal("RatioOf with zero total should be 0")
-	}
-	if RatioOf(1, 4) != 0.25 {
-		t.Fatal("RatioOf wrong")
 	}
 }

@@ -220,12 +220,10 @@ func betacf(a, b, x float64) float64 {
 // --- Windowed emission ----------------------------------------------------
 
 // WindowEmitter converts cumulative monotonically increasing counters into
-// per-window deltas, folding every delta into a per-metric Welford
-// accumulator as it streams past. It replaces the snapshot-subtract
-// pattern (retain a Stats copy per window, subtract at the end) with
-// incremental emission: memory is O(1) per metric — previous cumulative
-// value, reusable delta buffer, accumulator — regardless of how many
-// windows stream through.
+// per-window deltas. It replaces the snapshot-subtract pattern (retain a
+// Stats copy per window, subtract at the end) with incremental emission:
+// memory is O(1) per metric — previous cumulative value and reusable
+// delta buffer — regardless of how many windows stream through.
 //
 // Because each window's delta is the exact integer subtraction
 // cum[w] - cum[w-1], the emitted sequence is bit-identical to what
@@ -234,7 +232,6 @@ type WindowEmitter struct {
 	names   []string
 	prev    []uint64
 	delta   []uint64
-	accs    []Welford
 	windows uint64
 	primed  bool
 }
@@ -249,7 +246,6 @@ func NewWindowEmitter(names ...string) *WindowEmitter {
 		names: names,
 		prev:  make([]uint64, len(names)),
 		delta: make([]uint64, len(names)),
-		accs:  make([]Welford, len(names)),
 	}
 }
 
@@ -262,9 +258,9 @@ func (e *WindowEmitter) Prime(cum []uint64) {
 }
 
 // Emit closes one window: it computes the per-metric deltas since the
-// previous Prime/Emit, folds them into the accumulators, and returns the
-// delta slice. The returned slice is reused by the next Emit — callers
-// that need to retain it must copy. Emit is allocation-free.
+// previous Prime/Emit and returns the delta slice. The returned slice is
+// reused by the next Emit — callers that need to retain it must copy.
+// Emit is allocation-free.
 func (e *WindowEmitter) Emit(cum []uint64) []uint64 {
 	e.checkLen(cum)
 	if !e.primed {
@@ -277,7 +273,6 @@ func (e *WindowEmitter) Emit(cum []uint64) []uint64 {
 		}
 		e.delta[i] = c - p
 		e.prev[i] = c
-		e.accs[i].Add(float64(c - p))
 	}
 	e.windows++
 	return e.delta
@@ -285,15 +280,6 @@ func (e *WindowEmitter) Emit(cum []uint64) []uint64 {
 
 // Windows returns the number of windows emitted so far.
 func (e *WindowEmitter) Windows() uint64 { return e.windows }
-
-// Metrics returns the number of tracked metrics.
-func (e *WindowEmitter) Metrics() int { return len(e.names) }
-
-// Name returns metric i's name.
-func (e *WindowEmitter) Name(i int) string { return e.names[i] }
-
-// Acc returns metric i's per-window accumulator.
-func (e *WindowEmitter) Acc(i int) *Welford { return &e.accs[i] }
 
 func (e *WindowEmitter) checkLen(cum []uint64) {
 	if len(cum) != len(e.names) {

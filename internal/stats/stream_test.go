@@ -183,8 +183,7 @@ func TestWelfordCI(t *testing.T) {
 }
 
 // Property: WindowEmitter deltas are exactly the snapshot-subtract deltas
-// for any monotone cumulative counter sequence, and the accumulators see
-// exactly those deltas.
+// for any monotone cumulative counter sequence.
 func TestWindowEmitterMatchesSnapshotSubtract(t *testing.T) {
 	f := func(incs [][3]uint16) bool {
 		if len(incs) == 0 {
@@ -195,7 +194,6 @@ func TestWindowEmitterMatchesSnapshotSubtract(t *testing.T) {
 		em.Prime(cum)
 		// Reference path: retain every snapshot, subtract at the end.
 		snaps := [][]uint64{append([]uint64(nil), cum...)}
-		var refAccs [3]Welford
 		for _, inc := range incs {
 			for i := range cum {
 				cum[i] += uint64(inc[i])
@@ -208,14 +206,6 @@ func TestWindowEmitterMatchesSnapshotSubtract(t *testing.T) {
 				if got[i] != want {
 					return false
 				}
-				refAccs[i].Add(float64(want))
-			}
-		}
-		for i := range refAccs {
-			a := em.Acc(i)
-			if a.N() != refAccs[i].N() || a.Mean() != refAccs[i].Mean() ||
-				a.m2 != refAccs[i].m2 || a.Min() != refAccs[i].Min() || a.Max() != refAccs[i].Max() {
-				return false
 			}
 		}
 		return em.Windows() == uint64(len(incs))

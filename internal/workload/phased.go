@@ -15,9 +15,9 @@ import (
 // client's memory behaviour varies over time (bursty footprints, load
 // spikes, phase-change applications). Durations are measured in
 // *generated ops*, not cycles: a phase boundary lands at a fixed point
-// of the op stream regardless of how the consumer batches refills, how
-// many producer threads feed rings, or where a checkpoint cuts, which
-// is what extends the repo's bit-identity contracts to scenario runs.
+// of the op stream regardless of how the consumer batches refills or
+// where a checkpoint cuts, which is what extends the repo's
+// bit-identity contracts to scenario runs.
 // All duration draws come from a dedicated RNG (never the inner
 // stream's), so phase scheduling cannot perturb the op-level draw
 // sequence within a phase.

@@ -8,13 +8,12 @@ import (
 // Source is an op stream as the rest of the simulator consumes one: the
 // synthetic generator (Stream), the phased scenario wrapper (Phased),
 // and recorded-trace replay (TraceSource) all satisfy it, so cores,
-// rings, warm-up and checkpoints bind to the seam instead of the
-// concrete generator. The batched-refill determinism contract carries
-// over unchanged: NextBatch must be split-invariant — the op sequence
-// (and any internal draw sequence) is identical for any partition of
-// the same total into batches, and identical to per-op Next — so ring
-// block boundaries and batch sizes can never change what a consumer
-// observes (DESIGN.md §8, §12).
+// warm-up and checkpoints bind to the seam instead of the concrete
+// generator. The batched-refill determinism contract carries over
+// unchanged: NextBatch must be split-invariant — the op sequence (and
+// any internal draw sequence) is identical for any partition of the
+// same total into batches, and identical to per-op Next — so batch
+// sizes can never change what a consumer observes (DESIGN.md §8).
 type Source interface {
 	// Spec describes the stream; consumers read structural parameters
 	// from it (cpu.Core takes MLP).

@@ -143,18 +143,13 @@ func (s *System) Prewarm() { s.inner.Prewarm() }
 // functionally (no timing), completing cache warm-up.
 func (s *System) WarmFunctional(n int) { s.inner.WarmFunctional(n) }
 
-// Run executes warm timed cycles followed by a measured window and returns
-// its metrics (the paper's SMARTS-style scheme).
+// Run executes warm timed cycles followed by a measured window of measure
+// (> 0) cycles and returns its metrics (the paper's SMARTS-style scheme).
 func (s *System) Run(warm, measure Cycle) Metrics { return s.inner.Run(warm, measure) }
 
 // CheckInvariants validates coherence and inclusion invariants, returning
 // a description of the first violation or "" when healthy.
 func (s *System) CheckInvariants() string { return s.inner.CheckInvariants() }
-
-// Close releases the off-thread trace-generation goroutines started when
-// Config.GenThreads > 0 (idempotent; a no-op for synchronous systems).
-// Call it when done with a system, from the goroutine that ran it.
-func (s *System) Close() { s.inner.Close() }
 
 // DRAM technology model entry points (paper Sec. IV).
 var (
