@@ -6,13 +6,15 @@
 // and add their latency and protocol behaviour on top. This split keeps the
 // protocol logic testable without a simulation clock.
 //
-// Two API layers address the same storage. The line-addressed methods
-// (Lookup, Touch, SetState, Insert, InsertNonTemporal, Invalidate) are the
-// readable reference: each re-finds the line by tag scan. The Way-handle
-// methods (Probe, WayState, TouchWay, SetStateWay, InsertAt, DemoteWay)
-// are the fast path: one Probe per access, O(1) mutators after it. A
-// randomized differential test (differential_test.go) drives both against
-// a naive model and proves them behaviourally identical.
+// One API addresses the storage: the Way-handle methods (Probe,
+// ProbeTouch, WayState, TouchWay, SetStateWay, InsertAt, DemoteWay), one
+// Probe per access and O(1) mutators after it, plus the line-addressed
+// conveniences Contains and Invalidate built on them. The slot word
+// follows from the geometry: 8 bytes with an in-word recency stamp, or 4
+// bytes for a large direct-mapped array (the paper-scale vaults). A
+// randomized differential test (differential_test.go) drives the API on
+// both layouts against a line-addressed reference layer, kept in that
+// test file, and a naive map-of-sets model.
 package cache
 
 import (
@@ -106,6 +108,23 @@ const (
 	maxSlotTag     = 1<<(64-slotTagShift) - 1
 )
 
+// A direct-mapped array of at least dmMinSets sets stores one uint32 per
+// set instead —
+//
+//	bit  0      valid
+//	bits 1-3    State (the same bits as the 8-byte word)
+//	bits 4-31   the tag's bits outside the set index: those above it,
+//	            then the bank bits below it (NewBankedArray)
+//
+// It never reads a recency stamp, and the slot position gives the set
+// index back, so the tag needs 40 - log2(sets) bits: at most 28 from
+// 4096 sets up, which covers every tag place() admits. Smaller
+// direct-mapped arrays keep the 8-byte word, whose tag does not fit.
+const (
+	dmTagShift = 4
+	dmMinSets  = 1 << (64 - slotTagShift - (32 - dmTagShift))
+)
+
 func packSlot(t uint64, st State) uint64 { return t<<slotTagShift | uint64(st)<<1 | slotValid }
 
 func slotState(v uint64) State  { return State((v & slotStateMask) >> 1) }
@@ -130,8 +149,14 @@ type Array struct {
 	wayShift int
 
 	// slots holds the packed tag/state/stamp words, sets*ways, set-major;
-	// 0 marks an empty slot.
+	// 0 marks an empty slot. Nil when dm holds the array.
 	slots []uint64
+
+	// dm holds the 4-byte words of a direct-mapped array of at least
+	// dmMinSets sets, one per set (0 = empty); nil otherwise. setBits is
+	// log2(sets), the index width the words leave out.
+	dm      []uint32
+	setBits uint
 
 	// setTick holds each set's stamp counter (nil unless lru): the next
 	// touch or fill in the set stamps setTick[s]+1. The counter never
@@ -187,8 +212,13 @@ func NewArray(sizeBytes int64, ways int, policy Policy) *Array {
 		policy:   policy,
 		lru:      policy == LRU && ways > 1,
 		wayShift: wayShift,
-		slots:    make([]uint64, lines),
+		setBits:  uint(ilog2(uint64(sets))),
 		rndst:    0x9E3779B97F4A7C15,
+	}
+	if ways == 1 && sets >= dmMinSets {
+		a.dm = make([]uint32, sets)
+	} else {
+		a.slots = make([]uint64, lines)
 	}
 	if a.lru {
 		a.setTick = make([]uint32, sets)
@@ -198,12 +228,6 @@ func NewArray(sizeBytes int64, ways int, policy Policy) *Array {
 	}
 	return a
 }
-
-// Sets returns the number of sets.
-func (a *Array) Sets() int { return a.sets }
-
-// Ways returns the associativity.
-func (a *Array) Ways() int { return a.ways }
 
 // SizeBytes returns the total capacity.
 func (a *Array) SizeBytes() int64 { return int64(a.sets) * int64(a.ways) * mem.LineSize }
@@ -222,9 +246,22 @@ func (a *Array) set(line mem.LineAddr) int {
 	return int((tag(line) >> a.shift) & uint64(a.sets-1))
 }
 
+// packDM builds the 4-byte word for tag t: the set-index bits dropped,
+// the bank bits below them kept.
+func (a *Array) packDM(t uint64, st State) uint32 {
+	kept := t>>(a.shift+a.setBits)<<a.shift | t&(1<<a.shift-1)
+	return uint32(kept<<dmTagShift) | uint32(st)<<1 | slotValid
+}
+
+// dmLine rebuilds the line address held by word v of set s.
+func (a *Array) dmLine(v uint32, s int) mem.LineAddr {
+	kept := uint64(v >> dmTagShift)
+	return lineAddr(kept>>a.shift<<(a.shift+a.setBits) | uint64(s)<<a.shift | kept&(1<<a.shift-1))
+}
+
 // Way is a handle to one array slot, returned by Probe. It stays valid
-// until the next mutation of the same set (Insert*, Invalidate or
-// SetState/SetStateWay to Invalid); way-indexed mutators let a call site
+// until the next mutation of the same set (InsertAt, Invalidate or
+// SetStateWay to Invalid); way-indexed mutators let a call site
 // that has already probed skip every further tag scan. NoWay reports a
 // miss.
 type Way int32
@@ -234,11 +271,16 @@ const NoWay Way = -1
 
 // Probe finds the line with a single tag scan and returns its slot handle,
 // or NoWay when absent. It does not update recency; pair with TouchWay.
-// (Written with the tag/set helpers spelled out: the function sits on
-// every simulated access and must stay within the inlining budget.)
 func (a *Array) Probe(line mem.LineAddr) Way {
 	t := uint64(line) / mem.LineSize
-	base := int(t>>a.shift&uint64(a.sets-1)) * a.ways
+	s := int(t >> a.shift & uint64(a.sets-1))
+	if a.dm != nil {
+		if a.dm[s]&^slotStateMask == a.packDM(t, Invalid) {
+			return Way(s)
+		}
+		return NoWay
+	}
+	base := s * a.ways
 	want := t<<slotTagShift | slotValid
 	for w, v := range a.slots[base : base+a.ways] {
 		if v&^(slotStateMask|slotStampMask) == want {
@@ -254,6 +296,9 @@ func (a *Array) Probe(line mem.LineAddr) Way {
 // the scan's set index and slot word, so a hit costs one pass and (on LRU
 // arrays) one counter bump instead of a second probe-and-divide.
 func (a *Array) ProbeTouch(line mem.LineAddr) Way {
+	if a.dm != nil {
+		return a.Probe(line) // no hint and no recency to update
+	}
 	t := uint64(line) / mem.LineSize
 	s := int(t >> a.shift & uint64(a.sets-1))
 	base := s * a.ways
@@ -294,7 +339,12 @@ func (a *Array) ProbeTouch(line mem.LineAddr) Way {
 }
 
 // WayState returns the coherence state of the probed slot.
-func (a *Array) WayState(w Way) State { return slotState(a.slots[w]) }
+func (a *Array) WayState(w Way) State {
+	if a.dm != nil {
+		return slotState(uint64(a.dm[w]))
+	}
+	return slotState(a.slots[w])
+}
 
 // TouchWay marks the probed slot most recently used. Direct-mapped and
 // RandomRepl arrays skip the recency write: their victim choice never
@@ -376,55 +426,37 @@ func (a *Array) renormSet(base int) uint64 {
 func (a *Array) SetStateWay(w Way, st State) {
 	if st == Invalid {
 		a.occupied--
-		a.slots[w] = 0
+		if a.dm != nil {
+			a.dm[w] = 0
+		} else {
+			a.slots[w] = 0
+		}
+		return
+	}
+	if a.dm != nil {
+		a.dm[w] = a.dm[w]&^slotStateMask | uint32(st)<<1
 		return
 	}
 	a.slots[w] = a.slots[w]&^slotStateMask | uint64(st)<<1
 }
 
-// DemoteWay moves the probed slot to LRU priority (the set's preferred
-// victim), the way-indexed form of InsertNonTemporal's demotion. A no-op
-// on direct-mapped and RandomRepl arrays, where recency is never consulted.
+// DemoteWay moves the probed slot to LRU priority: it becomes the set's
+// preferred victim, so streaming fills displace each other rather than
+// reused lines. This models the anti-thrash insertion real LLCs apply to
+// never-reused streams, and — at the reproduction's capacity scale — it
+// reproduces the residency that plain LRU provides at paper scale, where
+// set lifetimes are 512x longer relative to reuse intervals. A no-op on
+// direct-mapped and RandomRepl arrays, where recency is never consulted.
 func (a *Array) DemoteWay(w Way) {
 	if a.lru {
 		a.slots[w] &^= slotStampMask
 	}
 }
 
-// Lookup finds the line and returns its state without updating recency.
-// It returns Invalid when absent.
-func (a *Array) Lookup(line mem.LineAddr) State {
-	if w := a.Probe(line); w != NoWay {
-		return slotState(a.slots[w])
-	}
-	return Invalid
-}
-
 // Contains reports whether the line is present.
 func (a *Array) Contains(line mem.LineAddr) bool { return a.Probe(line) != NoWay }
 
-// Touch marks the line most recently used, returning false when absent.
-func (a *Array) Touch(line mem.LineAddr) bool {
-	w := a.Probe(line)
-	if w == NoWay {
-		return false
-	}
-	a.TouchWay(w)
-	return true
-}
-
-// SetState updates the coherence state of a present line, returning false
-// when absent. Setting Invalid removes the line.
-func (a *Array) SetState(line mem.LineAddr, st State) bool {
-	w := a.Probe(line)
-	if w == NoWay {
-		return false
-	}
-	a.SetStateWay(w, st)
-	return true
-}
-
-// Eviction describes a line displaced by Insert.
+// Eviction describes a line displaced by InsertAt.
 type Eviction struct {
 	Line  mem.LineAddr
 	State State
@@ -433,66 +465,30 @@ type Eviction struct {
 // Dirty reports whether the victim must be written back.
 func (e Eviction) Dirty() bool { return e.State.Dirty() }
 
-// InsertNonTemporal places the line at LRU priority: it becomes the set's
-// preferred victim, so streaming fills displace each other rather than
-// reused lines. This models the anti-thrash insertion real LLCs apply to
-// never-reused streams, and — at the reproduction's capacity scale — it
-// reproduces the residency that plain LRU provides at paper scale, where
-// set lifetimes are 512x longer relative to reuse intervals.
-func (a *Array) InsertNonTemporal(line mem.LineAddr, st State) (ev Eviction, evicted bool) {
-	w, ev, evicted := a.insert(line, st)
-	a.DemoteWay(w)
-	return ev, evicted
-}
-
-// Insert places the line in the array with the given state, evicting a
-// victim if the set is full. It returns the eviction (ok=false when an
-// invalid way was used). Inserting a line that is already present panics:
-// callers must Lookup first — double insertion always indicates a protocol
-// bug.
-func (a *Array) Insert(line mem.LineAddr, st State) (ev Eviction, evicted bool) {
-	_, ev, evicted = a.insert(line, st)
-	return ev, evicted
-}
-
-// insert is Insert returning the way filled, so InsertNonTemporal can
-// demote it without re-scanning the set.
-func (a *Array) insert(line mem.LineAddr, st State) (w Way, ev Eviction, evicted bool) {
-	if !st.Valid() {
-		panic("cache: inserting invalid state")
-	}
-	s := a.set(line)
-	t := tag(line)
-	base := s * a.ways
-	victim := -1
-	for w, v := range a.slots[base : base+a.ways] {
-		if v&slotValid != 0 && slotTag(v) == t {
-			panic(fmt.Sprintf("cache: double insert of line %#x", uint64(line)))
-		}
-		if v == 0 && victim == -1 {
-			victim = w
-		}
-	}
-	return a.place(s, victim, t, st)
-}
-
-// InsertAt is the fast-path insert for a line Probe just reported absent:
-// it fills the first invalid way (stopping the scan there) or evicts the
-// policy victim, returning the way filled for DemoteWay. Unlike Insert it
-// does not re-verify absence — calling it for a present line corrupts the
-// set, which the differential suite would surface; callers must have
-// probed the same array for the same line with no intervening mutation.
+// InsertAt is the insert for a line Probe just reported absent: it fills
+// the first invalid way (stopping the scan there) or evicts the policy
+// victim, returning the way filled for DemoteWay and the eviction
+// (evicted=false when an invalid way was used). It does not re-verify
+// absence — calling it for a present line corrupts the set, which the
+// differential suite would surface; callers must have probed the same
+// array for the same line with no intervening mutation.
 func (a *Array) InsertAt(line mem.LineAddr, st State) (w Way, ev Eviction, evicted bool) {
 	if !st.Valid() {
 		panic("cache: inserting invalid state")
 	}
 	s := a.set(line)
 	victim := -1
-	base := s * a.ways
-	for i, v := range a.slots[base : base+a.ways] {
-		if v == 0 {
-			victim = i
-			break
+	if a.dm != nil {
+		if a.dm[s] == 0 {
+			victim = 0
+		}
+	} else {
+		base := s * a.ways
+		for i, v := range a.slots[base : base+a.ways] {
+			if v == 0 {
+				victim = i
+				break
+			}
 		}
 	}
 	return a.place(s, victim, tag(line), st)
@@ -507,12 +503,21 @@ func (a *Array) place(s, victim int, t uint64, st State) (w Way, ev Eviction, ev
 	}
 	if victim == -1 {
 		victim = a.victim(s)
-		v := a.slots[s*a.ways+victim]
-		ev = Eviction{Line: lineAddr(slotTag(v)), State: slotState(v)}
+		if a.dm != nil {
+			ev = Eviction{Line: a.dmLine(a.dm[s], s), State: slotState(uint64(a.dm[s]))}
+		} else {
+			v := a.slots[s*a.ways+victim]
+			ev = Eviction{Line: lineAddr(slotTag(v)), State: slotState(v)}
+		}
 		evicted = true
 		a.occupied--
 	}
 	idx := s*a.ways + victim
+	a.occupied++
+	if a.dm != nil {
+		a.dm[idx] = a.packDM(t, st)
+		return Way(idx), ev, evicted
+	}
 	word := packSlot(t, st)
 	if a.lru {
 		// Direct-mapped and RandomRepl arrays skip recency entirely.
@@ -522,7 +527,6 @@ func (a *Array) place(s, victim int, t uint64, st State) (w Way, ev Eviction, ev
 		a.hint[s] = uint8(victim)
 	}
 	a.slots[idx] = word
-	a.occupied++
 	return Way(idx), ev, evicted
 }
 
@@ -530,6 +534,9 @@ func (a *Array) place(s, victim int, t uint64, st State) (w Way, ev Eviction, ev
 func (a *Array) victim(set int) int {
 	switch a.policy {
 	case LRU:
+		if a.ways == 1 {
+			return 0
+		}
 		base := set * a.ways
 		best, bestStamp := 0, slotStamp(a.slots[base])
 		for w := 1; w < a.ways; w++ {
@@ -555,15 +562,19 @@ func (a *Array) Invalidate(line mem.LineAddr) State {
 	if w == NoWay {
 		return Invalid
 	}
-	st := slotState(a.slots[w])
-	a.slots[w] = 0
-	a.occupied--
+	st := a.WayState(w)
+	a.SetStateWay(w, Invalid)
 	return st
 }
 
 // ForEach calls fn for every valid line. Iteration order is deterministic
 // (set-major). fn must not mutate the array.
 func (a *Array) ForEach(fn func(line mem.LineAddr, st State)) {
+	for s, v := range a.dm {
+		if v&slotValid != 0 {
+			fn(a.dmLine(v, s), slotState(uint64(v)))
+		}
+	}
 	for _, v := range a.slots {
 		if v&slotValid != 0 {
 			fn(lineAddr(slotTag(v)), slotState(v))

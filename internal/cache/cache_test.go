@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -305,15 +306,53 @@ func TestDemoteTieBreaksByLowestWay(t *testing.T) {
 }
 
 // TestOversizedTagPanics pins the packed-slot address bound: tags beyond
-// the 40-bit field must fail loudly on insert, not alias silently.
+// the 40-bit field must fail loudly on insert, not alias silently, in
+// both slot layouts — and the largest admitted tag round-trips.
 func TestOversizedTagPanics(t *testing.T) {
-	a := NewArray(4*mem.LineSize, 2, LRU)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a tag beyond 2^40")
+	for _, c := range []struct {
+		sets, ways int
+		over       mem.LineAddr
+	}{
+		{2, 2, mem.LineAddr(uint64(1) << 47)},
+		{dmMinSets, 1, lineAddr(maxSlotTag + 1)}, // 4-byte words
+	} {
+		a := NewArray(int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU)
+		top := lineAddr(maxSlotTag)
+		a.Insert(top, Modified)
+		if a.Lookup(top) != Modified {
+			t.Fatalf("%dx%d: top tag did not round-trip", c.sets, c.ways)
 		}
-	}()
-	a.Insert(mem.LineAddr(uint64(1)<<47), Shared)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%dx%d: expected panic for a tag beyond 2^40", c.sets, c.ways)
+				}
+			}()
+			a.Insert(c.over, Shared)
+		}()
+	}
+}
+
+// TestDirectMappedSlotBytes: a large direct-mapped array costs 4 bytes a
+// slot plus a constant; an associative array of the same capacity keeps
+// the 8-byte word its recency stamp needs.
+func TestDirectMappedSlotBytes(t *testing.T) {
+	const size = 262_144 * mem.LineSize
+	alloc := func(ways int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a := NewArray(size, ways, LRU)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(a)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slots = size / mem.LineSize
+	if got := alloc(1); got > 4*slots+4096 {
+		t.Fatalf("direct-mapped array of %d sets allocated %d bytes, want at most 4 per slot + 4096", slots, got)
+	}
+	if got := alloc(8); got < 8*slots {
+		t.Fatalf("8-way array of %d slots allocated %d bytes, want at least 8 per slot", slots, got)
+	}
 }
 
 func TestRandomReplStaysInBounds(t *testing.T) {

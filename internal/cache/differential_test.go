@@ -13,12 +13,75 @@ import (
 //
 //   - a naive map-of-sets model (modelArray below) — the readable reference
 //     semantics, independent of the packed-slot representation;
-//   - an Array used through the line-addressed API (Lookup/Touch/SetState/
-//     Insert/InsertNonTemporal/Invalidate);
-//   - an Array used through the Way-handle fast path (Probe/WayState/
-//     TouchWay/SetStateWay/InsertAt/DemoteWay).
+//   - an Array used through the line-addressed reference layer below
+//     (Lookup/Touch/SetState/Insert/InsertNonTemporal/Invalidate);
+//   - an Array used through the Way-handle fast path (Probe/ProbeTouch/
+//     WayState/TouchWay/SetStateWay/InsertAt/DemoteWay).
 //
-// CI runs it under -race alongside the scheduler differential (DESIGN.md §7).
+// Rows cover both slot layouts: the 8-byte word and the 4-byte word of a
+// direct-mapped array of at least dmMinSets sets. CI runs the suite under
+// -race alongside the scheduler differential (DESIGN.md §7).
+
+// The line-addressed reference layer. Each call re-finds the line by
+// address and acts through the Way-handle API, so it serves both slot
+// layouts; the unit tests in cache_test.go read more plainly through it.
+
+// Sets returns the number of sets.
+func (a *Array) Sets() int { return a.sets }
+
+// Ways returns the associativity.
+func (a *Array) Ways() int { return a.ways }
+
+// Lookup returns the line's state without updating recency, or Invalid
+// when absent.
+func (a *Array) Lookup(line mem.LineAddr) State {
+	if w := a.Probe(line); w != NoWay {
+		return a.WayState(w)
+	}
+	return Invalid
+}
+
+// Touch marks the line most recently used, returning false when absent.
+func (a *Array) Touch(line mem.LineAddr) bool {
+	w := a.Probe(line)
+	if w != NoWay {
+		a.TouchWay(w)
+	}
+	return w != NoWay
+}
+
+// SetState updates a present line's state, returning false when absent.
+// Setting Invalid removes the line.
+func (a *Array) SetState(line mem.LineAddr, st State) bool {
+	w := a.Probe(line)
+	if w != NoWay {
+		a.SetStateWay(w, st)
+	}
+	return w != NoWay
+}
+
+// Insert places an absent line, evicting a victim if the set is full.
+// Inserting a present line panics: double insertion always indicates a
+// protocol bug.
+func (a *Array) Insert(line mem.LineAddr, st State) (ev Eviction, evicted bool) {
+	_, ev, evicted = a.insert(line, st)
+	return ev, evicted
+}
+
+// InsertNonTemporal inserts the line at LRU priority, the set's
+// preferred victim.
+func (a *Array) InsertNonTemporal(line mem.LineAddr, st State) (ev Eviction, evicted bool) {
+	w, ev, evicted := a.insert(line, st)
+	a.DemoteWay(w)
+	return ev, evicted
+}
+
+func (a *Array) insert(line mem.LineAddr, st State) (Way, Eviction, bool) {
+	if a.Probe(line) != NoWay {
+		panic(fmt.Sprintf("cache: double insert of line %#x", uint64(line)))
+	}
+	return a.InsertAt(line, st)
+}
 
 // modelLine is one slot of the naive model.
 type modelLine struct {
@@ -172,10 +235,14 @@ func runArrayDifferential(t *testing.T, sets, ways int, shift uint, seed uint64,
 	model := newModelArray(sets, ways, shift)
 	rng := sim.NewRNG(seed)
 
-	// Address pool ~2x capacity so sets conflict; strides exercise shift.
+	// Address pool ~2x capacity so sets conflict. Tags span the whole
+	// 40-bit field, and on banked rows carry a non-zero bank id in the
+	// low shift bits, so every tag bit a slot word keeps must round-trip
+	// through ForEach and eviction reports.
+	bank := uint64(0x5555) & (1<<shift - 1)
 	lines := make([]mem.LineAddr, 2*sets*ways+3)
 	for i := range lines {
-		lines[i] = mem.LineAddr(uint64(i) * mem.LineSize << shift)
+		lines[i] = lineAddr(rng.Uint64n(maxSlotTag+1)&^(1<<shift-1) | bank)
 	}
 
 	states := []State{Shared, Exclusive, Owned, Modified}
@@ -289,21 +356,29 @@ func compareArrays(t *testing.T, op int, ref, fast *Array, model *modelArray) {
 
 // TestArrayDifferential exercises the three implementations across the
 // geometries the simulated systems use: multi-way L1/LLC shapes, the
-// direct-mapped vault shape, and a banked (shifted) bank shape.
+// direct-mapped vault shape, and a banked (shifted) bank shape — each
+// direct-mapped shape both below dmMinSets (8-byte words) and at it
+// (4-byte words).
 func TestArrayDifferential(t *testing.T) {
 	cases := []struct {
 		sets, ways int
 		shift      uint
+		fourByte   bool
 	}{
-		{4, 8, 0},  // L1 shape
-		{8, 16, 0}, // LLC bank shape
-		{64, 1, 0}, // direct-mapped vault shape
-		{16, 1, 4}, // banked direct-mapped (VaultsShared bank)
-		{8, 2, 2},  // banked set-associative
-		{1, 4, 0},  // single-set stress
+		{4, 8, 0, false},   // L1 shape
+		{8, 16, 0, false},  // LLC bank shape
+		{64, 1, 0, false},  // small direct-mapped vault
+		{16, 1, 4, false},  // small banked direct-mapped (VaultsShared bank)
+		{8, 2, 2, false},   // banked set-associative
+		{1, 4, 0, false},   // single-set stress
+		{4096, 1, 0, true}, // direct-mapped vault
+		{4096, 1, 4, true}, // banked direct-mapped
 	}
 	for ci, c := range cases {
 		c := c
+		if got := NewArray(int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU).dm != nil; got != c.fourByte {
+			t.Fatalf("%dsx%dw: 4-byte layout %v, want %v", c.sets, c.ways, got, c.fourByte)
+		}
 		t.Run(fmt.Sprintf("%dsx%dw_shift%d", c.sets, c.ways, c.shift), func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				runArrayDifferential(t, c.sets, c.ways, c.shift, seed*7919+uint64(ci), 6000)

@@ -6,11 +6,12 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// Snapshot serializes the Array's mutable state: packed slot words,
-// per-set recency counters, way hints, occupancy, and the random-
-// replacement xorshift state. Geometry (sets/ways/policy/shift) is
-// written only to be validated on Restore — the restoring Array is
-// always freshly constructed from the live Config.
+// Snapshot serializes the Array's mutable state: packed slot words (the
+// 8-byte or the 4-byte layout; the other slab is empty), per-set
+// recency counters, way hints, occupancy, and the random-replacement
+// xorshift state. Geometry (sets/ways/policy/shift) is written only to
+// be validated on Restore — the restoring Array is always freshly
+// constructed from the live Config, and its layout follows from it.
 func (a *Array) Snapshot(w *checkpoint.Writer) {
 	w.Section("cache.Array")
 	w.U64(uint64(a.sets))
@@ -20,14 +21,17 @@ func (a *Array) Snapshot(w *checkpoint.Writer) {
 	w.Bool(a.lru)
 	w.U64(a.rndst)
 	w.I64(int64(a.occupied))
-	w.U64s(a.slots)
-	w.U32s(a.setTick)
-	w.U8s(a.hint)
+	checkpoint.WriteSlab(w, a.slots)
+	checkpoint.WriteSlab(w, a.dm)
+	checkpoint.WriteSlab(w, a.setTick)
+	checkpoint.WriteSlab(w, a.hint)
 }
 
 // Restore overwrites a freshly constructed Array with snapshotted
-// state. Any geometry mismatch — the checkpoint was cut for a different
-// configuration — is an error, never a panic.
+// state, decoding the slabs in place. Any geometry mismatch — the
+// checkpoint was cut for a different configuration — is an error, never
+// a panic; after an error the Array holds a partial decode and must be
+// discarded.
 func (a *Array) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("cache.Array"); err != nil {
 		return err
@@ -38,9 +42,6 @@ func (a *Array) Restore(r *checkpoint.Reader) error {
 	lru := r.Bool()
 	rndst := r.U64()
 	occupied := int(r.I64())
-	slots := r.U64s()
-	setTick := r.U32s()
-	hint := r.U8s()
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -48,16 +49,16 @@ func (a *Array) Restore(r *checkpoint.Reader) error {
 		return fmt.Errorf("cache: checkpoint geometry %d sets x %d ways policy %d shift %d lru %v, array has %d x %d policy %d shift %d lru %v",
 			sets, ways, policy, shift, lru, a.sets, a.ways, a.policy, a.shift, a.lru)
 	}
-	if len(slots) != len(a.slots) || len(setTick) != len(a.setTick) || len(hint) != len(a.hint) {
-		return fmt.Errorf("cache: checkpoint slab sizes %d/%d/%d, array has %d/%d/%d",
-			len(slots), len(setTick), len(hint), len(a.slots), len(a.setTick), len(a.hint))
+	if occupied < 0 || occupied > sets*ways {
+		return fmt.Errorf("cache: checkpoint occupancy %d outside [0,%d]", occupied, sets*ways)
 	}
-	if occupied < 0 || occupied > len(slots) {
-		return fmt.Errorf("cache: checkpoint occupancy %d outside [0,%d]", occupied, len(slots))
+	checkpoint.ReadSlab(r, a.slots)
+	checkpoint.ReadSlab(r, a.dm)
+	checkpoint.ReadSlab(r, a.setTick)
+	checkpoint.ReadSlab(r, a.hint)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("cache: %w", err)
 	}
-	copy(a.slots, slots)
-	copy(a.setTick, setTick)
-	copy(a.hint, hint)
 	a.occupied = occupied
 	a.rndst = rndst
 	return nil

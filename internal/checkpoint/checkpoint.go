@@ -15,10 +15,13 @@
 //	crc      uint32 LE                   (CRC-32C over key, meta and payload)
 //
 // Every scalar is little-endian. Slices are a uint64 length followed by
-// the elements. Sections are length-prefixed names written by each
-// component's Snapshot and verified by its Restore, so a reader that
-// drifts out of sync fails on the next section check instead of
-// silently misinterpreting bytes. The trailing CRC-32C (Castagnoli,
+// the elements. Fixed-size slabs (cache arrays, DRAM-cache frames,
+// timers) are decoded in place into the component that was built from
+// the live Config (ReadSlab), so a restore allocates only the slabs
+// whose length is data (the coherence line table). Sections are
+// length-prefixed names written by each component's Snapshot and
+// verified by its Restore, so a reader that drifts out of sync fails on
+// the next section check instead of silently misinterpreting bytes. The trailing CRC-32C (Castagnoli,
 // hardware-accelerated on amd64/arm64) is verified by Reader.Finish
 // before a restored system is accepted.
 //
@@ -34,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 )
@@ -51,16 +55,19 @@ const Magic = "SILOCKPT"
 // FormatVersion is bumped whenever any component's snapshot layout
 // changes; a mismatch makes Open fail and the caller rebuild from
 // scratch.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // FormatTag names the format generation inside content-hash keys, so
 // key derivation itself is versioned alongside the byte layout.
-const FormatTag = "ckpt-v2"
+const FormatTag = "ckpt-v3"
 
-// maxSliceLen bounds slice lengths read from a file before the CRC has
-// been verified, so a corrupt length cannot trigger a multi-gigabyte
-// allocation. The largest legitimate slice is a Scale-1 line-table slab
-// (tens of millions of slots), far below this.
+// maxSliceLen caps slice lengths read before the CRC has been verified
+// when the source's size is unknown (a Reader over a plain stream). It
+// counts elements, not bytes; a Reader that knows its size (Open, or an
+// in-memory source) instead rejects any length whose bytes the source
+// does not hold, so a corrupt length cannot trigger an allocation larger
+// than the file. The largest legitimate slice is a Scale-1 line-table
+// slab (tens of millions of slots), far below this.
 const maxSliceLen = 1 << 28
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -147,54 +154,43 @@ func (w *Writer) String(s string) {
 	w.write([]byte(s))
 }
 
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(p []byte) {
-	w.U64(uint64(len(p)))
-	w.write(p)
-}
+// Word is the element type of a fixed-width slab: each element is
+// stored as its own width, little-endian.
+type Word interface{ ~uint8 | ~uint32 | ~uint64 }
 
-const bulkChunk = 8192 // elements per staging flush
+// wordBytes returns T's width in bytes: 1, 4 or 8.
+func wordBytes[T Word]() int { return bits.Len64(uint64(^T(0))) / 8 }
 
-// U64s writes a length-prefixed []uint64 in bulk chunks.
-func (w *Writer) U64s(s []uint64) {
+const bulkBytes = 64 << 10 // staging buffer per bulk flush or fill
+
+// WriteSlab writes a length-prefixed slab in bulk chunks.
+func WriteSlab[T Word](w *Writer, s []T) {
 	w.U64(uint64(len(s)))
+	size := wordBytes[T]()
 	if w.buf == nil {
-		w.buf = make([]byte, bulkChunk*8)
+		w.buf = make([]byte, bulkBytes)
 	}
 	for len(s) > 0 {
-		n := len(s)
-		if n > bulkChunk {
-			n = bulkChunk
+		n := min(len(s), bulkBytes/size)
+		b := w.buf[:n*size]
+		switch size {
+		case 1:
+			for i, v := range s[:n] {
+				b[i] = byte(v)
+			}
+		case 4:
+			for i, v := range s[:n] {
+				binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+			}
+		default:
+			for i, v := range s[:n] {
+				binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+			}
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(w.buf[i*8:], s[i])
-		}
-		w.write(w.buf[:n*8])
+		w.write(b)
 		s = s[n:]
 	}
 }
-
-// U32s writes a length-prefixed []uint32 in bulk chunks.
-func (w *Writer) U32s(s []uint32) {
-	w.U64(uint64(len(s)))
-	if w.buf == nil {
-		w.buf = make([]byte, bulkChunk*8)
-	}
-	for len(s) > 0 {
-		n := len(s)
-		if n > bulkChunk*2 {
-			n = bulkChunk * 2
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(w.buf[i*4:], s[i])
-		}
-		w.write(w.buf[:n*4])
-		s = s[n:]
-	}
-}
-
-// U8s writes a length-prefixed []uint8.
-func (w *Writer) U8s(s []uint8) { w.Bytes(s) }
 
 // Section writes a section marker; Reader.Section verifies it, so a
 // producer/consumer drift fails fast with a named location.
@@ -221,6 +217,10 @@ type Reader struct {
 	scratch [8]byte
 	buf     []byte
 
+	// left counts the bytes the source still holds, or is -1 when its
+	// size is unknown; SliceLen checks lengths against it.
+	left int64
+
 	// Header fields populated by Open.
 	Key  string
 	Meta string
@@ -228,8 +228,16 @@ type Reader struct {
 	close io.Closer
 }
 
-// NewReader wraps r. Callers normally use Open instead.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// NewReader wraps r. Callers normally use Open instead. A source that
+// reports its unread size (bytes.Reader, strings.Reader) bounds slice
+// lengths by it; any other source falls back to maxSliceLen.
+func NewReader(r io.Reader) *Reader {
+	left := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		left = int64(l.Len())
+	}
+	return &Reader{r: r, left: left}
+}
 
 // Err returns the sticky error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -241,14 +249,7 @@ func (r *Reader) fail(err error) {
 }
 
 func (r *Reader) read(p []byte) bool {
-	if r.err != nil {
-		return false
-	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = fmt.Errorf("checkpoint: truncated: %w", err)
+	if !r.readRaw(p) {
 		return false
 	}
 	r.crc = crc32.Update(r.crc, castagnoli, p)
@@ -266,6 +267,9 @@ func (r *Reader) readRaw(p []byte) bool {
 		}
 		r.err = fmt.Errorf("checkpoint: truncated: %w", err)
 		return false
+	}
+	if r.left >= 0 {
+		r.left -= int64(len(p))
 	}
 	return true
 }
@@ -300,12 +304,16 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // Bool reads one byte as a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-func (r *Reader) sliceLen() int {
+// SliceLen reads a slice-length prefix for elements of elemBytes each.
+// A length whose bytes the source does not hold (or, for a source of
+// unknown size, one above maxSliceLen) sets the sticky error and reads
+// as 0, so a corrupt length fails before its caller allocates anything.
+func (r *Reader) SliceLen(elemBytes int) int {
 	n := r.U64()
 	if r.err != nil {
 		return 0
 	}
-	if n > maxSliceLen {
+	if r.left >= 0 && n > uint64(r.left)/uint64(elemBytes) || r.left < 0 && n > maxSliceLen {
 		r.fail(fmt.Errorf("checkpoint: corrupt slice length %d", n))
 		return 0
 	}
@@ -314,7 +322,7 @@ func (r *Reader) sliceLen() int {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.sliceLen()
+	n := r.SliceLen(1)
 	if r.err != nil || n == 0 {
 		return ""
 	}
@@ -325,73 +333,68 @@ func (r *Reader) String() string {
 	return string(p)
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() []byte {
-	n := r.sliceLen()
-	if r.err != nil {
-		return nil
-	}
-	p := make([]byte, n)
-	if n > 0 && !r.read(p) {
-		return nil
-	}
-	return p
-}
-
-// U64s reads a length-prefixed []uint64 in bulk chunks.
+// U64s reads a length-prefixed []uint64 whose length is data, not
+// geometry: the coherence line table, sized by how much warm-up filled
+// it. Fixed-size slabs use ReadSlab.
 func (r *Reader) U64s() []uint64 {
-	n := r.sliceLen()
+	n := r.SliceLen(8)
 	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
-	if r.buf == nil {
-		r.buf = make([]byte, bulkChunk*8)
-	}
-	for i := 0; i < n; {
-		c := n - i
-		if c > bulkChunk {
-			c = bulkChunk
-		}
-		if !r.read(r.buf[:c*8]) {
-			return nil
-		}
-		for j := 0; j < c; j++ {
-			out[i+j] = binary.LittleEndian.Uint64(r.buf[j*8:])
-		}
-		i += c
-	}
-	return out
-}
-
-// U32s reads a length-prefixed []uint32 in bulk chunks.
-func (r *Reader) U32s() []uint32 {
-	n := r.sliceLen()
-	if r.err != nil {
+	if !decodeSlab(r, out) {
 		return nil
 	}
-	out := make([]uint32, n)
-	if r.buf == nil {
-		r.buf = make([]byte, bulkChunk*8)
-	}
-	for i := 0; i < n; {
-		c := n - i
-		if c > bulkChunk*2 {
-			c = bulkChunk * 2
-		}
-		if !r.read(r.buf[:c*4]) {
-			return nil
-		}
-		for j := 0; j < c; j++ {
-			out[i+j] = binary.LittleEndian.Uint32(r.buf[j*4:])
-		}
-		i += c
-	}
 	return out
 }
 
-// U8s reads a length-prefixed []uint8.
-func (r *Reader) U8s() []uint8 { return r.Bytes() }
+// ReadSlab decodes a slab written by WriteSlab into dst in place. The
+// stored length must equal len(dst) — dst was built from the live
+// Config, so any other length means the checkpoint was cut for another
+// geometry — and a mismatch sets the sticky error without allocating.
+// On error dst may hold a partial decode; the caller discards it.
+func ReadSlab[T Word](r *Reader, dst []T) {
+	n := r.U64()
+	if r.err != nil {
+		return
+	}
+	if n != uint64(len(dst)) {
+		r.fail(fmt.Errorf("checkpoint: slab of %d elements, want %d", n, len(dst)))
+		return
+	}
+	decodeSlab(r, dst)
+}
+
+// decodeSlab fills dst from bulk reads, reporting success.
+func decodeSlab[T Word](r *Reader, dst []T) bool {
+	size := wordBytes[T]()
+	if r.buf == nil {
+		r.buf = make([]byte, bulkBytes)
+	}
+	for len(dst) > 0 {
+		n := min(len(dst), bulkBytes/size)
+		b := r.buf[:n*size]
+		if !r.read(b) {
+			return false
+		}
+		switch size {
+		case 1:
+			for i := range dst[:n] {
+				dst[i] = T(b[i])
+			}
+		case 4:
+			for i := range dst[:n] {
+				dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		default:
+			for i := range dst[:n] {
+				dst[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+		dst = dst[n:]
+	}
+	return true
+}
 
 // Section verifies the next section marker.
 func (r *Reader) Section(name string) error {
@@ -529,8 +532,14 @@ func Open(path, wantKey string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	r := NewReader(newBufReader(f))
 	r.close = f
+	r.left = fi.Size()
 	var hdr [len(Magic) + 4]byte
 	if !r.readRaw(hdr[:]) {
 		f.Close()

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -20,18 +22,26 @@ func TestRoundTripScalarsAndSlices(t *testing.T) {
 	w.Bool(true)
 	w.Bool(false)
 	w.String("hello, checkpoint")
-	w.Bytes([]byte{1, 2, 3})
-	u64s := make([]uint64, 10_000) // spans multiple bulk chunks
+	u8s := make([]uint8, 70_000) // every slab spans multiple bulk chunks
+	for i := range u8s {
+		u8s[i] = uint8(i * 131)
+	}
+	WriteSlab(w, u8s)
+	u64s := make([]uint64, 10_000)
 	for i := range u64s {
 		u64s[i] = uint64(i) * 0x9E3779B97F4A7C15
 	}
-	w.U64s(u64s)
+	WriteSlab(w, u64s)
 	u32s := make([]uint32, 20_001)
 	for i := range u32s {
 		u32s[i] = uint32(i) * 2654435761
 	}
-	w.U32s(u32s)
-	w.U64s(nil)
+	WriteSlab(w, u32s)
+	type cycle uint64 // a named ~uint64 word, like sim.Cycle
+	cycles := []cycle{1, 1 << 40, 1<<64 - 1}
+	WriteSlab(w, cycles)
+	WriteSlab(w, u64s)
+	WriteSlab[uint64](w, nil)
 	if err := w.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -58,14 +68,28 @@ func TestRoundTripScalarsAndSlices(t *testing.T) {
 	if got := r.String(); got != "hello, checkpoint" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("Bytes = %v", got)
+	gotU8s := make([]uint8, len(u8s))
+	ReadSlab(r, gotU8s)
+	if !bytes.Equal(gotU8s, u8s) {
+		t.Fatalf("uint8 slab mismatch")
+	}
+	gotU64s := make([]uint64, len(u64s))
+	ReadSlab(r, gotU64s)
+	if !reflect.DeepEqual(gotU64s, u64s) {
+		t.Fatalf("uint64 slab mismatch")
+	}
+	gotU32s := make([]uint32, len(u32s))
+	ReadSlab(r, gotU32s)
+	if !reflect.DeepEqual(gotU32s, u32s) {
+		t.Fatalf("uint32 slab mismatch")
+	}
+	gotCycles := make([]cycle, len(cycles))
+	ReadSlab(r, gotCycles)
+	if !reflect.DeepEqual(gotCycles, cycles) {
+		t.Fatalf("named-word slab = %v, want %v", gotCycles, cycles)
 	}
 	if got := r.U64s(); !reflect.DeepEqual(got, u64s) {
 		t.Fatalf("U64s mismatch")
-	}
-	if got := r.U32s(); !reflect.DeepEqual(got, u32s) {
-		t.Fatalf("U32s mismatch")
 	}
 	if got := r.U64s(); len(got) != 0 {
 		t.Fatalf("empty U64s = %v", got)
@@ -207,13 +231,66 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestCorruptSliceLength: a length prefix whose bytes the source does
+// not hold fails before anything is allocated — in memory, from a file
+// through Open, and (by the element cap) from a source of unknown size.
 func TestCorruptSliceLength(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64(1 << 40) // absurd length prefix
-	w.Finish()
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if got := r.U64s(); got != nil || r.Err() == nil {
-		t.Fatalf("corrupt length accepted: %v / %v", got, r.Err())
+	for _, n := range []uint64{1 << 40, 1<<28 - 1} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.U64(n)
+		w.Finish()
+		path := filepath.Join(t.TempDir(), "corrupt.ckpt")
+		if err := Save(path, "k", "", func(w *Writer) error { w.U64(n); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		f, err := Open(path, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sources := map[string]*Reader{
+			"memory": NewReader(bytes.NewReader(buf.Bytes())),
+			"file":   f,
+		}
+		if n > maxSliceLen {
+			sources["stream"] = NewReader(struct{ *bytes.Reader }{bytes.NewReader(buf.Bytes())})
+		}
+		for name, r := range sources {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := r.U64s()
+			runtime.ReadMemStats(&after)
+			if got != nil || r.Err() == nil {
+				t.Fatalf("%s: corrupt length %d accepted: %v / %v", name, n, got, r.Err())
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("%s: corrupt length %d allocated %d bytes before failing", name, n, grew)
+			}
+		}
 	}
+}
+
+// TestReadSlabLengthMismatch: the in-place read accepts only a stored
+// length equal to len(dst), for every element width, and a mismatch is
+// sticky.
+func TestReadSlabLengthMismatch(t *testing.T) {
+	check := func(name string, read func(r *Reader)) {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		WriteSlab(w, []uint64{1, 2, 3})
+		w.U64(7)
+		w.Finish()
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		read(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "slab of 3 elements") {
+			t.Fatalf("%s: length mismatch not rejected: %v", name, err)
+		}
+		if r.U64() != 0 || r.Err() == nil {
+			t.Fatalf("%s: error not sticky", name)
+		}
+	}
+	check("uint8", func(r *Reader) { ReadSlab(r, make([]uint8, 4)) })
+	check("uint32", func(r *Reader) { ReadSlab(r, make([]uint32, 2)) })
+	check("uint64", func(r *Reader) { ReadSlab(r, make([]uint64, 0)) })
 }

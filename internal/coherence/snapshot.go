@@ -55,13 +55,13 @@ func snapshotStore[V interface {
 		w.U64(uint64(t.shift))
 		w.U64(uint64(t.dispBits))
 		w.I64(int64(t.n))
-		w.U64s(t.slots)
+		checkpoint.WriteSlab(w, t.slots)
 		w.U64(t.oldMask)
 		w.U64(uint64(t.oldShift))
 		w.U64(uint64(t.oldDispBits))
 		w.I64(int64(t.oldN))
 		w.I64(int64(t.oldPos))
-		w.U64s(t.old)
+		checkpoint.WriteSlab(w, t.old)
 	case OpenTable:
 		t := s.fast
 		w.U64(t.mask)
@@ -96,22 +96,21 @@ func snapshotSlots[V ~uint64](w *checkpoint.Writer, slots []slot[V]) {
 	}
 }
 
+// restoreSlots reads a slab written by snapshotSlots. The Reader bounds
+// its length by the bytes the file still holds, 16 per slot, before
+// anything is allocated.
 func restoreSlots[V ~uint64](r *checkpoint.Reader) []slot[V] {
-	n := r.U64()
-	if r.Err() != nil || n > maxRestoreSlots {
+	n := r.SliceLen(16)
+	if r.Err() != nil {
 		return nil
 	}
-	out := make([]slot[V], int(n))
+	out := make([]slot[V], n)
 	for i := range out {
 		out[i].key = r.U64()
 		out[i].val = V(r.U64())
 	}
 	return out
 }
-
-// maxRestoreSlots bounds slab lengths read before CRC verification,
-// mirroring checkpoint.Reader's own slice-length guard.
-const maxRestoreSlots = 1 << 28
 
 func restoreStore[V interface {
 	lineValue[V]
@@ -192,15 +191,12 @@ func restoreStore[V interface {
 		}
 		return hotStore[V]{lineStore: t, fast: t}, nil
 	default:
-		n := r.I64()
+		n := r.SliceLen(16) // a line and a value per entry
 		if r.Err() != nil {
 			return zero, r.Err()
 		}
-		if n < 0 || n > maxRestoreSlots {
-			return zero, fmt.Errorf("coherence: corrupt map-store size %d", n)
-		}
-		m := make(mapStore[V], int(n))
-		for i := int64(0); i < n; i++ {
+		m := make(mapStore[V], n)
+		for i := 0; i < n; i++ {
 			line := mem.LineAddr(r.U64())
 			v := V(r.U64())
 			m[line] = &v

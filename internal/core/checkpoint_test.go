@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -172,5 +173,49 @@ func TestCheckpointWrongConfigRejected(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s mismatch accepted", name)
 		}
+	}
+}
+
+// TestCheckpointRestoreAllocation: restore decodes every fixed-size slab
+// in place, so NewSystemFromCheckpoint allocates what NewSystem does plus
+// the one slab whose length is data — the warmed line table — and no
+// second copy of the vault arrays.
+func TestCheckpointRestoreAllocation(t *testing.T) {
+	cfg := SILOConfig(16)
+	cfg.Scale = 32
+	specs := []workload.Spec{workload.WebSearch()}
+	warmed := warmSystem(cfg, specs)
+	path := filepath.Join(t.TempDir(), "silo16.ckpt")
+	if err := checkpoint.Save(path, "k", "{}", warmed.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	// This warm-up leaves about 462k directory entries in a quotient
+	// table of 1M 8-byte slots.
+	entries, perSlot := warmed.LineTable()
+	lineTableSlab := uint64(1<<20) * uint64(perSlot)
+	if entries <= 3<<20/8 || entries > 3<<20/4 {
+		t.Fatalf("line table holds %d entries; the 1M-slot slab assumption needs 393k-786k", entries)
+	}
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	build := allocated(func() { NewSystem(cfg, specs) })
+	r, err := checkpoint.Open(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	restore := allocated(func() { _, err = NewSystemFromCheckpoint(cfg, specs, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := build + lineTableSlab + 1<<20; restore > limit {
+		t.Fatalf("restore allocated %d bytes, want at most %d (NewSystem %d + line table %d + 1 MiB)",
+			restore, limit, build, lineTableSlab)
 	}
 }

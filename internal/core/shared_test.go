@@ -28,10 +28,10 @@ func TestL2HitFillReleasesVictimTracking(t *testing.T) {
 	if !ok {
 		t.Fatal("baseline system is not a shared hierarchy")
 	}
-	if s := h.l1d[0].Sets(); s != 8 {
+	if s := h.l1d[0].SizeBytes() / (int64(cfg.L1Ways) * mem.LineSize); s != 8 {
 		t.Fatalf("L1D sets = %d, test assumes 8", s)
 	}
-	if s := h.l2[0].Sets(); s != 64 {
+	if s := h.l2[0].SizeBytes() / (int64(cfg.L2Ways) * mem.LineSize); s != 64 {
 		t.Fatalf("L2 sets = %d, test assumes 64", s)
 	}
 

@@ -16,10 +16,11 @@ func (c *Cache) Snapshot(w *checkpoint.Writer) {
 	w.U64(c.Misses)
 	w.U64(c.Allocs)
 	w.U64(c.PageEvicts)
-	w.U64s(c.pages)
+	checkpoint.WriteSlab(w, c.pages)
 }
 
-// Restore overwrites a freshly constructed cache.
+// Restore overwrites a freshly constructed cache, decoding the frame
+// tags in place; a frame count other than the cache's is an error.
 func (c *Cache) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("dramcache.Cache"); err != nil {
 		return err
@@ -28,14 +29,10 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 	misses := r.U64()
 	allocs := r.U64()
 	pageEvicts := r.U64()
-	pages := r.U64s()
+	checkpoint.ReadSlab(r, c.pages)
 	if err := r.Err(); err != nil {
-		return err
+		return fmt.Errorf("dramcache: %w", err)
 	}
-	if len(pages) != len(c.pages) {
-		return fmt.Errorf("dramcache: checkpoint has %d page frames, cache has %d", len(pages), len(c.pages))
-	}
-	copy(c.pages, pages)
 	c.Hits = hits
 	c.Misses = misses
 	c.Allocs = allocs

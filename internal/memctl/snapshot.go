@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/sim"
 )
 
 // Snapshot serializes the controller's per-channel busy-until cycles
@@ -14,29 +13,21 @@ func (m *Memory) Snapshot(w *checkpoint.Writer) {
 	w.Section("memctl.Memory")
 	w.U64(m.Accesses)
 	w.U64(m.Writebacks)
-	free := make([]uint64, len(m.chanFree))
-	for i, c := range m.chanFree {
-		free[i] = uint64(c)
-	}
-	w.U64s(free)
+	checkpoint.WriteSlab(w, m.chanFree)
 }
 
-// Restore overwrites a freshly constructed controller.
+// Restore overwrites a freshly constructed controller, decoding the
+// channel timers in place; a channel count other than the controller's
+// is an error.
 func (m *Memory) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("memctl.Memory"); err != nil {
 		return err
 	}
 	accesses := r.U64()
 	writebacks := r.U64()
-	free := r.U64s()
+	checkpoint.ReadSlab(r, m.chanFree)
 	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(free) != len(m.chanFree) {
-		return fmt.Errorf("memctl: checkpoint has %d channels, controller has %d", len(free), len(m.chanFree))
-	}
-	for i, c := range free {
-		m.chanFree[i] = sim.Cycle(c)
+		return fmt.Errorf("memctl: %w", err)
 	}
 	m.Accesses = accesses
 	m.Writebacks = writebacks

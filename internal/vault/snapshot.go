@@ -17,14 +17,11 @@ func (v *Vault) Snapshot(w *checkpoint.Writer) {
 	w.U64(v.Accesses)
 	w.U64(v.Conflicts)
 	w.U64(uint64(v.QueueCycles))
-	free := make([]uint64, len(v.bankFree))
-	for i, c := range v.bankFree {
-		free[i] = uint64(c)
-	}
-	w.U64s(free)
+	checkpoint.WriteSlab(w, v.bankFree)
 }
 
-// Restore overwrites a freshly constructed vault.
+// Restore overwrites a freshly constructed vault, decoding the bank
+// timers in place; a bank count other than the vault's is an error.
 func (v *Vault) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("vault.Vault"); err != nil {
 		return err
@@ -32,15 +29,9 @@ func (v *Vault) Restore(r *checkpoint.Reader) error {
 	accesses := r.U64()
 	conflicts := r.U64()
 	queueCycles := sim.Cycle(r.U64())
-	free := r.U64s()
+	checkpoint.ReadSlab(r, v.bankFree)
 	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(free) != len(v.bankFree) {
-		return fmt.Errorf("vault: checkpoint has %d banks, vault has %d", len(free), len(v.bankFree))
-	}
-	for i, c := range free {
-		v.bankFree[i] = sim.Cycle(c)
+		return fmt.Errorf("vault: %w", err)
 	}
 	v.Accesses = accesses
 	v.Conflicts = conflicts

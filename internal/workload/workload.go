@@ -226,7 +226,7 @@ func (o Op) RWShared() bool { return o.DWord&opRWShared != 0 }
 func (o Op) Independent() bool { return o.DWord&opIndependent != 0 }
 
 // NonTemporal marks never-reused streaming accesses; caches insert their
-// fills at LRU priority (see cache.InsertNonTemporal).
+// fills at LRU priority (see cache.Array.DemoteWay).
 func (o Op) NonTemporal() bool { return o.DWord&opNonTemporal != 0 }
 
 // Address-map region bases. Regions are separated in the high bits so no
