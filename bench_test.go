@@ -423,8 +423,9 @@ func benchStreamProbe(b *testing.B, batched bool) {
 func BenchmarkStreamProbeSerial(b *testing.B)  { benchStreamProbe(b, false) }
 func BenchmarkStreamProbeBatched(b *testing.B) { benchStreamProbe(b, true) }
 
-// BenchmarkDirectoryOps measures the duplicate-tag directory's hot path:
-// a read-share-write-evict cycle across 16 cores.
+// BenchmarkDirectoryOps measures the duplicate-tag directory's hot path,
+// the allocation-free calls the SILO hierarchy makes: a
+// read-share-write-evict cycle across 16 cores.
 func BenchmarkDirectoryOps(b *testing.B) {
 	d := coherence.NewDirectory(16, coherence.MOESI)
 	for i := 0; i < b.N; i++ {
@@ -434,7 +435,7 @@ func BenchmarkDirectoryOps(b *testing.B) {
 			d.Read(line, r)
 		}
 		w := (i + 7) % 16
-		d.Write(line, w)
+		d.WriteMask(line, w)
 		d.Evict(line, w)
 	}
 }

@@ -155,6 +155,11 @@ func NewDirectoryWithStore(cores int, protocol Protocol, kind StoreKind) *Direct
 // BytesPerSlot reports the inline footprint of one line-table slot.
 func (d *Directory) BytesPerSlot() int { return d.entries.bytesPerSlot() }
 
+// Reserve sizes an empty directory's line table for n lines in one
+// allocation, so filling it never pays incremental growth. A directory
+// already tracking lines ignores it.
+func (d *Directory) Reserve(n int) { d.entries.reserve(n) }
+
 // Protocol returns the configured protocol.
 func (d *Directory) Protocol() Protocol { return d.protocol }
 
@@ -187,20 +192,6 @@ func (d *Directory) SharersMask(line mem.LineAddr) uint32 {
 		return 0
 	}
 	return e.mask()
-}
-
-// Sharers returns the cores holding the line, in ascending order.
-func (d *Directory) Sharers(line mem.LineAddr) []int {
-	return maskToSlice(d.SharersMask(line))
-}
-
-// Owner returns the core holding the line in E, M or O, or -1.
-func (d *Directory) Owner(line mem.LineAddr) int {
-	e, ok := d.entries.get(line)
-	if !ok {
-		return -1
-	}
-	return e.owner()
 }
 
 // ReadOutcome describes how a read miss is satisfied.
@@ -258,7 +249,7 @@ func (d *Directory) Read(line mem.LineAddr, requester int) ReadOutcome {
 	} else {
 		// All copies Shared: the nearest sharer forwards. Source selection
 		// (which sharer) is a timing decision; report the lowest-numbered
-		// one and let the caller pick by distance via Sharers.
+		// one and let the caller pick by distance via SharersMask.
 		out.Source = firstSet(e.mask())
 		d.Forwards++
 	}
@@ -314,27 +305,6 @@ func (d *Directory) WriteMask(line mem.LineAddr, requester int) WriteMaskOutcome
 	return out
 }
 
-// WriteOutcome describes how a write miss or upgrade is satisfied.
-type WriteOutcome struct {
-	// Source is the forwarding core, MemorySource for a memory fetch, or
-	// the requester itself for an upgrade (no data transfer).
-	Source int
-	// Invalidated lists the other cores whose copies were invalidated.
-	Invalidated []int
-	// Upgrade is set when the requester already held the line.
-	Upgrade bool
-}
-
-// Write is the slice-returning reference form of WriteMask.
-func (d *Directory) Write(line mem.LineAddr, requester int) WriteOutcome {
-	out := d.WriteMask(line, requester)
-	return WriteOutcome{
-		Source:      out.Source,
-		Invalidated: maskToSlice(out.InvalidatedMask),
-		Upgrade:     out.Upgrade,
-	}
-}
-
 // EvictOutcome describes a private-LLC eviction.
 type EvictOutcome struct {
 	// MemWriteback is set when the evicted line was dirty (M or O) and must
@@ -371,7 +341,7 @@ func (d *Directory) Evict(line mem.LineAddr, core int) EvictOutcome {
 // MarkDirty records that core's copy became dirty without a directory
 // transaction — an L1 writeback landing in a vault that already holds the
 // line in E or M (silent E->M upgrade). The core must be the owner in E/M;
-// writes to Shared copies must go through Write.
+// writes to Shared copies must go through WriteMask.
 func (d *Directory) MarkDirty(line mem.LineAddr, core int) {
 	d.check(core)
 	e := d.entries.ref(line)

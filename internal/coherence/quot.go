@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -111,6 +112,27 @@ func newQuotTable[V lineValue[V]]() *quotTable[V] {
 		shift:    quotKeyBits - 8, // log2(minTableSlots) = 8
 		dispBits: 64 - quotDispShift - (quotKeyBits - 8),
 	}
+}
+
+// reserve allocates the final slab of an empty table in one step, with
+// the fingerprint and displacement widths growth would have reached;
+// see lineStore.reserve.
+func (t *quotTable[V]) reserve(n int) {
+	if t.size() != 0 || t.old != nil {
+		return
+	}
+	slots := reservedSlots(n, len(t.slots))
+	if slots == len(t.slots) {
+		return
+	}
+	logSlots := uint(bits.TrailingZeros(uint(slots)))
+	if logSlots >= quotKeyBits {
+		panic("coherence: quotient table reserved past its key domain") // as in grow
+	}
+	t.slots = make([]uint64, slots)
+	t.mask = uint64(slots - 1)
+	t.shift = quotKeyBits - logSlots
+	t.dispBits = 64 - quotDispShift - t.shift
 }
 
 // quotMix maps a tag to its table-independent mix; home and fingerprint

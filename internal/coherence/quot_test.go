@@ -92,20 +92,42 @@ func TestQuotTableAgainstMap(t *testing.T) {
 
 		// Full content agreement, both directions — forEach reconstructs
 		// every key from (slot, displacement, fingerprint) alone.
-		seen := map[mem.LineAddr]qval{}
-		tab.forEach(func(k mem.LineAddr, v qval) {
-			if _, dup := seen[k]; dup {
-				t.Fatalf("seed %d: forEach visited %#x twice", seed, uint64(k))
-			}
-			seen[k] = v
-		})
-		if len(seen) != len(ref) {
-			t.Fatalf("seed %d: forEach visited %d keys, want %d", seed, len(seen), len(ref))
+		if msg := contentDiff(tab.forEach, ref); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
 		}
-		for k, v := range ref {
-			if sv, ok := seen[k]; !ok || sv != v {
-				t.Fatalf("seed %d: key %#x = (%d,%v), want %d", seed, uint64(k), sv, ok, v)
-			}
+	}
+
+	// Reserved: n distinct puts into a table reserved for n never grow
+	// it, and its slab and fingerprint width are the ones growth would
+	// have reached.
+	line := func(i uint64) mem.LineAddr { return mem.LineAddr(i*mem.LineSize + (i%64)<<30) }
+	for _, n := range []int{1, 192, 193, 5000} {
+		tab, grown := newQuotTable[qval](), newQuotTable[qval]()
+		tab.reserve(n)
+		slab, shift := len(tab.slots), tab.shift
+		ref := map[mem.LineAddr]qval{}
+		rng := sim.NewRNG(uint64(n))
+		for i := 0; i < n; i++ {
+			k, v := line(uint64(i)), qrand(rng)
+			tab.put(k, v)
+			grown.put(k, v)
+			ref[k] = v
+		}
+		if len(tab.slots) != slab || tab.shift != shift || tab.old != nil {
+			t.Fatalf("reserve(%d): slab %d -> %d, shift %d -> %d, draining %v",
+				n, slab, len(tab.slots), shift, tab.shift, tab.old != nil)
+		}
+		if len(grown.slots) != slab || grown.shift != shift || grown.dispBits != tab.dispBits {
+			t.Fatalf("reserve(%d) sized %d slots (shift %d, disp %d), growth reached %d (shift %d, disp %d)",
+				n, slab, shift, tab.dispBits, len(grown.slots), grown.shift, grown.dispBits)
+		}
+		if msg := contentDiff(tab.forEach, ref); msg != "" {
+			t.Fatalf("reserve(%d): %s", n, msg)
+		}
+		tab.reserve(4 * n) // non-empty: ignored
+		if len(tab.slots) != slab || tab.shift != shift || tab.size() != n {
+			t.Fatalf("reserve on a non-empty table resized it: %d slots, shift %d, %d entries",
+				len(tab.slots), tab.shift, tab.size())
 		}
 	}
 }

@@ -120,10 +120,15 @@ func TestSnoopFilterSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestDirectorySnapshotRoundTrip(t *testing.T) {
-	for _, kind := range []StoreKind{QuotTable, OpenTable, MapStore} {
+	for _, tc := range []struct {
+		kind    StoreKind
+		reserve int // lines reserved before filling; 0 grows incrementally
+	}{{QuotTable, 0}, {QuotTable, 4096}, {OpenTable, 0}, {MapStore, 0}} {
+		kind := tc.kind
 		for _, proto := range []Protocol{MOESI, MESI} {
 			cores := 8
 			d := NewDirectoryWithStore(cores, proto, kind)
+			d.Reserve(tc.reserve)
 			driveDirectory(d, cores, 3000)
 
 			var buf bytes.Buffer
@@ -150,6 +155,10 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 			}
 			if msg := g.CheckInvariants(); msg != "" {
 				t.Fatalf("%v/%v: restored directory invariants: %s", kind, proto, msg)
+			}
+			if kind == QuotTable && len(g.entries.fastQ.slots) != len(d.entries.fastQ.slots) {
+				t.Fatalf("%v/%v reserve %d: restored slab %d slots, snapshotted %d",
+					kind, proto, tc.reserve, len(g.entries.fastQ.slots), len(d.entries.fastQ.slots))
 			}
 		}
 	}

@@ -13,11 +13,9 @@ import (
 // L1 copy read by another core is forwarded and the dirty data is absorbed
 // by the LLC, not main memory.
 //
-// Sharer sets are returned as bit masks (bit c: core c) by the fast-path
-// queries — HoldersMask, WriteMask, InvalidateAllMask — which allocate
-// nothing; iterate them with bits.TrailingZeros32. The slice-returning
-// forms (Holders, Write, InvalidateAll) are thin wrappers kept for tests
-// and as the readable reference.
+// Sharer sets are returned as bit masks (bit c: core c) by the queries —
+// HoldersMask, WriteMask, InvalidateAllMask — which allocate nothing;
+// iterate them with bits.TrailingZeros32.
 type SnoopFilter struct {
 	cores   int
 	entries hotStore[l1entry]
@@ -84,6 +82,11 @@ func NewSnoopFilterWithStore(cores int, kind StoreKind) *SnoopFilter {
 // BytesPerSlot reports the inline footprint of one line-table slot.
 func (f *SnoopFilter) BytesPerSlot() int { return f.entries.bytesPerSlot() }
 
+// Reserve sizes an empty filter's line table for n lines in one
+// allocation, so filling it never pays incremental growth. A filter
+// already tracking lines ignores it.
+func (f *SnoopFilter) Reserve(n int) { f.entries.reserve(n) }
+
 func (f *SnoopFilter) check(core int) {
 	if core < 0 || core >= f.cores {
 		panic(fmt.Sprintf("coherence: core %d outside [0,%d)", core, f.cores))
@@ -97,11 +100,6 @@ func (f *SnoopFilter) HoldersMask(line mem.LineAddr) uint32 {
 		return 0
 	}
 	return e.mask()
-}
-
-// Holders returns the cores whose L1s hold the line.
-func (f *SnoopFilter) Holders(line mem.LineAddr) []int {
-	return maskToSlice(f.HoldersMask(line))
 }
 
 // DirtyOwner returns the L1 holding the line modified, or -1.
@@ -157,12 +155,6 @@ func (f *SnoopFilter) WriteMask(line mem.LineAddr, core int) (invalidated uint32
 	return invalidated, dirtied
 }
 
-// Write is the slice-returning reference form of WriteMask.
-func (f *SnoopFilter) Write(line mem.LineAddr, core int) (invalidated []int, dirtied bool) {
-	mask, dirtied := f.WriteMask(line, core)
-	return maskToSlice(mask), dirtied
-}
-
 // Evict records core's L1 dropping the line. dirty reports whether the
 // eviction carries data that the LLC must absorb.
 func (f *SnoopFilter) Evict(line mem.LineAddr, core int, dirty bool) {
@@ -193,11 +185,6 @@ func (f *SnoopFilter) InvalidateAllMask(line mem.LineAddr) uint32 {
 	f.Invalidations += uint64(bits.OnesCount32(mask))
 	f.entries.del(line)
 	return mask
-}
-
-// InvalidateAll is the slice-returning reference form of InvalidateAllMask.
-func (f *SnoopFilter) InvalidateAll(line mem.LineAddr) []int {
-	return maskToSlice(f.InvalidateAllMask(line))
 }
 
 // Entries returns the number of tracked lines.
@@ -236,17 +223,4 @@ func (f *SnoopFilter) CheckInvariants() string {
 		}
 	})
 	return msg
-}
-
-// maskToSlice expands a sharer mask to an ascending core slice (nil when
-// empty), matching the historical slice-API ordering.
-func maskToSlice(mask uint32) []int {
-	if mask == 0 {
-		return nil
-	}
-	out := make([]int, 0, bits.OnesCount32(mask))
-	for m := mask; m != 0; m &= m - 1 {
-		out = append(out, bits.TrailingZeros32(m))
-	}
-	return out
 }

@@ -43,6 +43,10 @@ type lineStore[V lineValue[V]] interface {
 	// forEach visits every stored line in unspecified order. fn must not
 	// mutate the store.
 	forEach(fn func(line mem.LineAddr, v V))
+	// reserve sizes an empty store for n lines, so the first n distinct
+	// puts never grow it. A non-empty store, and the map reference,
+	// ignore it.
+	reserve(n int)
 }
 
 // StoreKind selects a lineStore implementation when constructing a
@@ -192,6 +196,7 @@ func (m mapStore[V]) put(line mem.LineAddr, v V) {
 
 func (m mapStore[V]) del(line mem.LineAddr) { delete(m, line) }
 func (m mapStore[V]) size() int             { return len(m) }
+func (m mapStore[V]) reserve(int)           {}
 func (m mapStore[V]) forEach(fn func(mem.LineAddr, V)) {
 	for line, p := range m {
 		fn(line, *p)
@@ -243,6 +248,29 @@ func newOpenTable[V any]() *openTable[V] {
 	return &openTable[V]{
 		slots: make([]slot[V], minTableSlots),
 		mask:  minTableSlots - 1,
+	}
+}
+
+// reservedSlots returns the slab length that holds n entries without
+// growing: the smallest power of two, at least slots, whose load-factor
+// threshold admits the n-th put. It is the length incremental growth
+// would end at after n distinct puts.
+func reservedSlots(n, slots int) int {
+	for n*maxLoadDen > slots*maxLoadNum {
+		slots *= 2
+	}
+	return slots
+}
+
+// reserve allocates the final slab of an empty table in one step; see
+// lineStore.reserve.
+func (t *openTable[V]) reserve(n int) {
+	if t.size() != 0 || t.old != nil {
+		return
+	}
+	if slots := reservedSlots(n, len(t.slots)); slots != len(t.slots) {
+		t.slots = make([]slot[V], slots)
+		t.mask = uint64(slots - 1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -46,22 +47,63 @@ func TestOpenTableAgainstMap(t *testing.T) {
 		}
 
 		// Full content agreement, both directions.
-		seen := map[mem.LineAddr]uint64{}
-		tab.forEach(func(k mem.LineAddr, v uint64) {
-			if _, dup := seen[k]; dup {
-				t.Fatalf("seed %d: forEach visited %#x twice", seed, uint64(k))
-			}
-			seen[k] = v
-		})
-		if len(seen) != len(ref) {
-			t.Fatalf("seed %d: forEach visited %d keys, want %d", seed, len(seen), len(ref))
-		}
-		for k, v := range ref {
-			if sv, ok := seen[k]; !ok || sv != v {
-				t.Fatalf("seed %d: key %#x = (%d,%v), want %d", seed, uint64(k), sv, ok, v)
-			}
+		if msg := contentDiff(tab.forEach, ref); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
 		}
 	}
+
+	// Reserved: n distinct puts into a table reserved for n never grow
+	// it, and its slab is the one growth would have reached.
+	for _, n := range []int{1, 192, 193, 5000} {
+		tab, grown := newOpenTable[uint64](), newOpenTable[uint64]()
+		tab.reserve(n)
+		slab := len(tab.slots)
+		ref := map[mem.LineAddr]uint64{}
+		for i := 0; i < n; i++ {
+			k := line(uint64(i) * 7919)
+			tab.put(k, uint64(i))
+			grown.put(k, uint64(i))
+			ref[k] = uint64(i)
+		}
+		if len(tab.slots) != slab || tab.old != nil {
+			t.Fatalf("reserve(%d): slab %d -> %d, draining %v", n, slab, len(tab.slots), tab.old != nil)
+		}
+		if len(grown.slots) != slab {
+			t.Fatalf("reserve(%d) sized %d slots, growth reached %d", n, slab, len(grown.slots))
+		}
+		if msg := contentDiff(tab.forEach, ref); msg != "" {
+			t.Fatalf("reserve(%d): %s", n, msg)
+		}
+		tab.reserve(4 * n) // non-empty: ignored
+		if len(tab.slots) != slab || tab.size() != n {
+			t.Fatalf("reserve on a non-empty table resized it: %d slots, %d entries", len(tab.slots), tab.size())
+		}
+	}
+}
+
+// contentDiff compares a store's forEach view with a reference map in
+// both directions, returning the first difference or "".
+func contentDiff[V comparable](forEach func(func(mem.LineAddr, V)), ref map[mem.LineAddr]V) string {
+	seen := map[mem.LineAddr]V{}
+	msg := ""
+	forEach(func(k mem.LineAddr, v V) {
+		if _, dup := seen[k]; dup && msg == "" {
+			msg = fmt.Sprintf("forEach visited %#x twice", uint64(k))
+		}
+		seen[k] = v
+	})
+	if msg != "" {
+		return msg
+	}
+	if len(seen) != len(ref) {
+		return fmt.Sprintf("forEach visited %d keys, want %d", len(seen), len(ref))
+	}
+	for k, v := range ref {
+		if sv, ok := seen[k]; !ok || sv != v {
+			return fmt.Sprintf("key %#x = (%v,%v), want %v", uint64(k), sv, ok, v)
+		}
+	}
+	return ""
 }
 
 // TestOpenTableRefMutation checks in-place mutation through ref and the

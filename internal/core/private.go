@@ -81,6 +81,17 @@ func (h *privateHierarchy) lineTable() (entries, bytesPerSlot int) {
 	return h.dir.Entries(), h.dir.BytesPerSlot()
 }
 
+// reserve sizes the directory for n lines. The vaults are inclusive
+// and the directory tracks only vault-resident lines, so it never holds
+// more than the vaults' total line count.
+func (h *privateHierarchy) reserve(n int) {
+	vaultLines := 0
+	for _, v := range h.vaultArr {
+		vaultLines += int(v.SizeBytes() / mem.LineSize)
+	}
+	h.dir.Reserve(min(n, vaultLines))
+}
+
 // homeOf address-interleaves directory homes across the vaults (paper
 // Sec. V-B: physically distributed, address-interleaved directory).
 func (h *privateHierarchy) homeOf(line mem.LineAddr) int {

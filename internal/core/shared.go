@@ -84,6 +84,20 @@ func (h *sharedHierarchy) lineTable() (entries, bytesPerSlot int) {
 	return h.snoop.Entries(), h.snoop.BytesPerSlot()
 }
 
+// reserve sizes the snoop filter for n lines. The filter tracks only
+// lines some private cache holds, so it never holds more than the
+// private levels' total line count.
+func (h *sharedHierarchy) reserve(n int) {
+	privateLines := 0
+	for c := range h.l1d {
+		privateLines += int((h.l1i[c].SizeBytes() + h.l1d[c].SizeBytes()) / mem.LineSize)
+		if h.l2 != nil {
+			privateLines += int(h.l2[c].SizeBytes() / mem.LineSize)
+		}
+	}
+	h.snoop.Reserve(min(n, privateLines))
+}
+
 // probeL2 probes an optional-L2 level (touching on a hit — both data
 // paths treat an L2 hit as a use), reporting a miss when the level is
 // absent. Shared by both hierarchies' data paths.

@@ -30,6 +30,9 @@ type hierarchy interface {
 	// lineTable reports the coherence line-table occupancy: live entries
 	// and the store's inline bytes per slot.
 	lineTable() (entries, bytesPerSlot int)
+	// reserve sizes the empty line table for n distinct lines, capped at
+	// the most lines the table can mirror at once.
+	reserve(n int)
 	// check validates internal invariants, returning "" when healthy.
 	check() string
 	// snapshot/restore serialize the hierarchy's mutable state through
@@ -238,51 +241,71 @@ func (s *System) CheckInvariants() string { return s.hier.check() }
 func (s *System) LineTable() (entries, bytesPerSlot int) { return s.hier.lineTable() }
 
 // Prewarm seeds steady-state cache contents analytically: each core's
-// cache-resident footprints (instructions, middle and secondary sets,
-// shared pool) are replayed once through the functional access path,
-// interleaved across cores in chunks so shared structures see realistic
-// contention. Run this before WarmFunctional; together they substitute for
-// the paper's warmed checkpoints.
+// cache-resident footprints (workload.Source.Footprint: instructions,
+// middle and secondary sets, shared pool) are replayed once through the
+// functional access path, interleaved across cores in chunks so shared
+// structures see realistic contention. The walk streams the regions
+// through one cursor per core, and the line table is sized once for
+// the footprint beforehand, so neither an address list nor table growth
+// is paid for (DESIGN.md §8). Run this before WarmFunctional; together
+// they substitute for the paper's warmed checkpoints.
 func (s *System) Prewarm() {
 	if s.started {
 		panic("core: prewarm after timing start")
 	}
 	const chunk = 1024
-	type emitter struct {
-		addrs []mem.Addr
-		instr []bool
-		pos   int
+	cursors := make([]prewarmCursor, s.cfg.Cores)
+	bytesAt := map[mem.Addr]int64{} // a base shared by cores counts once
+	for c := range cursors {
+		cursors[c].regions = s.sources[c].Footprint()
+		for _, r := range cursors[c].regions {
+			bytesAt[r.Base] = max(bytesAt[r.Base], r.Bytes)
+		}
 	}
-	ems := make([]*emitter, s.cfg.Cores)
-	for c := 0; c < s.cfg.Cores; c++ {
-		e := &emitter{}
-		s.sources[c].Prewarm(func(addr mem.Addr, instr bool) {
-			e.addrs = append(e.addrs, addr)
-			e.instr = append(e.instr, instr)
-		})
-		ems[c] = e
+	lines := 0
+	for _, b := range bytesAt {
+		lines += int((b + mem.LineSize - 1) / mem.LineSize)
 	}
-	for {
-		remaining := false
-		for c := 0; c < s.cfg.Cores; c++ {
-			e := ems[c]
-			end := e.pos + chunk
-			if end > len(e.addrs) {
-				end = len(e.addrs)
-			}
-			for ; e.pos < end; e.pos++ {
-				if e.instr[e.pos] {
-					s.hier.ifetch(c, e.addrs[e.pos].Line(), true, false)
-				} else {
-					s.hier.data(c, e.addrs[e.pos], false, false, false, false)
-				}
-			}
-			if e.pos < len(e.addrs) {
+	s.hier.reserve(lines)
+	for remaining := true; remaining; {
+		remaining = false
+		for c := range cursors {
+			if s.prewarmChunk(c, &cursors[c], chunk) {
 				remaining = true
 			}
 		}
-		if !remaining {
-			break
+	}
+}
+
+// prewarmCursor is one core's position in its footprint walk: the
+// region being visited and how far into it the walk has got.
+type prewarmCursor struct {
+	regions []workload.Region
+	r       int   // current region
+	done    int64 // bytes of regions[r] already visited
+}
+
+// prewarmChunk replays core c's next n footprint lines, crossing region
+// boundaries as needed, and reports whether any remain.
+func (s *System) prewarmChunk(c int, cur *prewarmCursor, n int) bool {
+	for n > 0 && cur.r < len(cur.regions) {
+		reg := &cur.regions[cur.r]
+		for ; n > 0 && cur.done < reg.Bytes; cur.done += mem.LineSize {
+			off := reg.Start + cur.done
+			if off >= reg.Bytes {
+				off -= reg.Bytes
+			}
+			addr := reg.Base + mem.Addr(off)
+			if reg.Instr {
+				s.hier.ifetch(c, addr.Line(), true, false)
+			} else {
+				s.hier.data(c, addr, false, false, false, false)
+			}
+			n--
+		}
+		if cur.done >= reg.Bytes {
+			cur.r, cur.done = cur.r+1, 0
 		}
 	}
+	return cur.r < len(cur.regions)
 }

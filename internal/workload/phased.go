@@ -250,9 +250,6 @@ func (p *Phased) advance() {
 // per-client constants; see NewPhased).
 func (p *Phased) Spec() Spec { return p.phases[0].Spec }
 
-// PhaseIndex reports the current phase (tests).
-func (p *Phased) PhaseIndex() int { return p.idx }
-
 // Generated reports ops produced so far.
 func (p *Phased) Generated() uint64 { return p.inner.Generated() }
 
@@ -295,15 +292,14 @@ func (p *Phased) NextBatch(dst []Op) int {
 	return n
 }
 
-// Prewarm visits the phase-0 footprints at the group's offset.
-func (p *Phased) Prewarm(visit func(addr mem.Addr, instr bool)) {
-	if p.offset == 0 {
-		p.inner.Prewarm(visit)
-		return
+// Footprint declares the inner stream's current footprints at the
+// group's offset.
+func (p *Phased) Footprint() []Region {
+	regions := p.inner.Footprint()
+	for i := range regions {
+		regions[i].Base += mem.Addr(p.offset)
 	}
-	p.inner.Prewarm(func(addr mem.Addr, instr bool) {
-		visit(addr+mem.Addr(p.offset), instr)
-	})
+	return regions
 }
 
 // Snapshot serializes the phase scheduler then the inner stream. The

@@ -140,10 +140,10 @@ func TestPhasedSplitInvariance(t *testing.T) {
 	// fresh wrapper reaches phase 1 within a bounded number of ops.
 	p := NewPhased(testPhases(), 1, 4, 16, 42, 9, GroupOffset(3))
 	var op Op
-	for i := 0; i < 200000 && p.PhaseIndex() == 0; i++ {
+	for i := 0; i < 200000 && p.idx == 0; i++ {
 		p.Next(&op)
 	}
-	if p.PhaseIndex() != 1 {
+	if p.idx != 1 {
 		t.Fatal("phase schedule never advanced")
 	}
 }

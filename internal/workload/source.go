@@ -25,10 +25,10 @@ type Source interface {
 	NextBatch(dst []Op) int
 	// Generated reports ops produced so far (Next + NextBatch).
 	Generated() uint64
-	// Prewarm visits every line of the source's cache-resident
-	// footprints once (may be a no-op for sources with none to declare,
-	// e.g. trace replay).
-	Prewarm(visit func(addr mem.Addr, instr bool))
+	// Footprint declares the source's cache-resident footprints, in the
+	// order a prewarm walk visits them (nil for sources with none to
+	// declare, e.g. trace replay). The slice is the caller's.
+	Footprint() []Region
 	// Snapshot/Restore serialize the source's mutable state through the
 	// checkpoint seams (DESIGN.md §11). Restore must verify it is fed a
 	// snapshot of the same source shape.
@@ -37,3 +37,14 @@ type Source interface {
 }
 
 var _ Source = (*Stream)(nil)
+
+// Region is one cache-resident footprint a prewarm walk visits line by
+// line: the Bytes/mem.LineSize addresses Base+off for off = Start,
+// Start+mem.LineSize, ... taken modulo Bytes, so a region with a
+// non-zero Start (in [0, Bytes)) is visited rotated, wrapping from its
+// end back to Base. Instr marks instruction lines.
+type Region struct {
+	Base         mem.Addr
+	Bytes, Start int64
+	Instr        bool
+}

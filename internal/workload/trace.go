@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/checkpoint"
-	"repro/internal/mem"
 )
 
 // Recorded-trace replay (DESIGN.md §14): the production-traffic mode.
@@ -225,9 +224,9 @@ func (t *TraceSource) NextBatch(dst []Op) int {
 	return n
 }
 
-// Prewarm is a no-op: a trace declares no analytic footprint, so replay
+// Footprint is nil: a trace declares no analytic footprint, so replay
 // warms organically through WarmFunctional.
-func (t *TraceSource) Prewarm(func(addr mem.Addr, instr bool)) {}
+func (t *TraceSource) Footprint() []Region { return nil }
 
 // Snapshot serializes the replay position plus shape cross-checks.
 func (t *TraceSource) Snapshot(w *checkpoint.Writer) {

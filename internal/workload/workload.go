@@ -167,12 +167,6 @@ func (s *Spec) Validate() {
 	}
 }
 
-// ColdFrac returns the fraction of data accesses that stream through cold
-// (never-reused) memory.
-func (s *Spec) ColdFrac() float64 {
-	return 1 - s.PrimaryFrac - s.MiddleFrac - s.SecondaryFrac - s.RWSharedFrac
-}
-
 // Op is one instruction produced by a stream, packed into two words so a
 // pre-generated batch costs its consumer two loads per op and fills half
 // the cache lines a field-per-flag struct did. IWord carries the
@@ -624,32 +618,23 @@ func (s *Stream) genData(op *Op, x uint64) uint64 {
 	return x
 }
 
-// Prewarm visits every line of the stream's cache-resident footprints
-// exactly once — instructions, middle set, the secondary slice, and the
-// shared pool — calling visit for each. The secondary slice is emitted in
-// scan order starting at the scan cursor, so after a functional replay the
-// LRU state matches a scan that has been running forever. This is the
-// reproduction's substitute for the paper's warmed checkpoints: it seeds
-// steady-state cache contents in time proportional to the footprint rather
-// than to the access count that would organically touch it.
-func (s *Stream) Prewarm(visit func(addr mem.Addr, instr bool)) {
-	for off := int64(0); off < s.instrFP; off += mem.LineSize {
-		visit(instrBase+mem.Addr(off), true)
-	}
+// Footprint declares the stream's cache-resident footprints — the
+// instruction footprint, the middle set, the shared pool and the
+// secondary slice — for a prewarm walk to visit once, line by line. The
+// secondary slice starts at the scan cursor, so after a functional
+// replay the LRU state matches a scan that has been running forever.
+// This is the reproduction's substitute for the paper's warmed
+// checkpoints: it seeds steady-state cache contents in time
+// proportional to the footprint rather than to the access count that
+// would organically touch it.
+func (s *Stream) Footprint() []Region {
+	regions := make([]Region, 0, 4)
+	regions = append(regions, Region{Base: instrBase, Bytes: s.instrFP, Instr: true})
 	if s.middle > 0 {
-		base := middleBase + mem.Addr(int64(s.core)*middleStride)
-		for off := int64(0); off < s.middle; off += mem.LineSize {
-			visit(base+mem.Addr(off), false)
-		}
+		regions = append(regions, Region{Base: middleBase + mem.Addr(int64(s.core)*middleStride), Bytes: s.middle})
 	}
 	if s.sharedPool > 0 {
-		for off := int64(0); off < s.sharedPool; off += mem.LineSize {
-			visit(sharedBase+mem.Addr(off), false)
-		}
+		regions = append(regions, Region{Base: sharedBase, Bytes: s.sharedPool})
 	}
-	base := secBase + mem.Addr(int64(s.core)*secStride)
-	for i := int64(0); i < s.secondary; i += mem.LineSize {
-		off := (s.scanCursor + i) % s.secondary
-		visit(base+mem.Addr(off), false)
-	}
+	return append(regions, Region{Base: secBase + mem.Addr(int64(s.core)*secStride), Bytes: s.secondary, Start: s.scanCursor})
 }

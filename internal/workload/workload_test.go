@@ -18,7 +18,7 @@ func TestAllPresetsValidate(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			s.Validate() // panics on failure
-			if cf := s.ColdFrac(); cf < 0 || cf > 0.2 {
+			if cf := 1 - s.PrimaryFrac - s.MiddleFrac - s.SecondaryFrac - s.RWSharedFrac; cf < 0 || cf > 0.2 {
 				t.Errorf("cold fraction %v implausible", cf)
 			}
 		})
