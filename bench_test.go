@@ -247,15 +247,15 @@ func BenchmarkSystemSimulationThroughput(b *testing.B) {
 	b.ReportMetric(float64(retired)/float64(b.N), "instr/iter")
 }
 
-// schedulerProbe drives the given event-queue implementation through the
-// simulator's canonical event mix — a steady population of in-flight
-// events completing at vault/LLC-scale short delays, with a sprinkling of
+// schedulerProbe drives the engine's event queue through the simulator's
+// canonical event mix — a steady population of in-flight events
+// completing at vault/LLC-scale short delays, with a sprinkling of
 // far-future events that exercise the calendar queue's overflow path —
 // and returns the events executed (the probe's events plus the drained
 // steady-state population).
-func schedulerProbe(kind sim.SchedulerKind) uint64 {
+func schedulerProbe() uint64 {
 	const events = 1 << 20
-	e := sim.NewEngineWithScheduler(kind)
+	e := sim.NewEngine()
 	fn := func(uint64) {}
 	const population = 512
 	for i := 0; i < population; i++ {
@@ -274,20 +274,16 @@ func schedulerProbe(kind sim.SchedulerKind) uint64 {
 	return e.Executed() - start
 }
 
-// BenchmarkSchedulerProbe* time the engine's event-queue implementations on
-// the canonical simulator event mix (schedulerProbe). The calendar queue
-// is the engine default; the binary heap is the reference.
-
-func benchSchedulerProbe(b *testing.B, kind sim.SchedulerKind) {
+// BenchmarkSchedulerProbeCalendar times the engine's calendar queue on the
+// canonical simulator event mix (schedulerProbe). internal/sim's own
+// benchmarks compare it with the reference heap.
+func BenchmarkSchedulerProbeCalendar(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		events += schedulerProbe(kind)
+		events += schedulerProbe()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
-
-func BenchmarkSchedulerProbeCalendar(b *testing.B) { benchSchedulerProbe(b, sim.CalendarQueue) }
-func BenchmarkSchedulerProbeHeap(b *testing.B)     { benchSchedulerProbe(b, sim.BinaryHeap) }
 
 // arrayProbe drives cache.Array through the simulator's canonical access
 // mix — a hot L1-shaped array (mostly hits: probe + touch) and a large
@@ -367,8 +363,8 @@ func coherenceTableProbe(kind coherence.StoreKind) uint64 {
 
 // BenchmarkCoherenceTable* time the coherence substrates' store
 // implementations on the canonical directory + snoop-filter op cycle
-// (coherenceTableProbe). The open-addressed table is the default; the Go
-// map is the retained reference.
+// (coherenceTableProbe). The open-addressed table serves more than 16
+// cores.
 func benchCoherenceTable(b *testing.B, kind coherence.StoreKind) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
@@ -378,7 +374,6 @@ func benchCoherenceTable(b *testing.B, kind coherence.StoreKind) {
 }
 
 func BenchmarkCoherenceTableOpen(b *testing.B) { benchCoherenceTable(b, coherence.OpenTable) }
-func BenchmarkCoherenceTableMap(b *testing.B)  { benchCoherenceTable(b, coherence.MapStore) }
 
 // BenchmarkCoherenceTableQuot times the quotient-key-compressed store
 // (8 B/slot, the default for ≤16-core systems — see DESIGN.md §8).

@@ -11,23 +11,27 @@
 //	version  uint32 LE                   (FormatVersion)
 //	key      length-prefixed string      (robust.Key over warm inputs)
 //	meta     length-prefixed string      (human-readable JSON, for paperbench checkpoint-ls)
-//	payload  section-framed component snapshots
+//	payload  section-framed component state (each component's walk)
 //	crc      uint32 LE                   (CRC-32C over key, meta and payload)
 //
 // Every scalar is little-endian. Slices are a uint64 length followed by
-// the elements. Fixed-size slabs (cache arrays, DRAM-cache frames,
-// timers) are decoded in place into the component that was built from
-// the live Config (ReadSlab), so a restore allocates only the slabs
-// whose length is data (the coherence line table). Sections are
-// length-prefixed names written by each component's Snapshot and
-// verified by its Restore, so a reader that drifts out of sync fails on
-// the next section check instead of silently misinterpreting bytes. The trailing CRC-32C (Castagnoli,
-// hardware-accelerated on amd64/arm64) is verified by Reader.Finish
-// before a restored system is accepted.
+// the elements. Each component describes its payload once, as a walk
+// over a Codec (codec.go): the same walk encodes through a Writer and
+// decodes through a Reader. Fixed-size slabs (cache arrays, DRAM-cache
+// frames, timers) are decoded in place into the component that was
+// built from the live Config, so a restore allocates only the slabs
+// whose length is data (the coherence line table). Shape fields
+// (geometry, ids, flags) are recorded and compared, never overwritten.
+// Sections are length-prefixed names the walk writes and then verifies,
+// so a decoder that drifts out of sync fails on the next section check
+// instead of silently misinterpreting bytes. The trailing CRC-32C
+// (Castagnoli, hardware-accelerated on amd64/arm64) is verified by
+// Reader.Finish before a restored system is accepted.
 //
 // Every failure mode — torn file, flipped byte, stale version, key
-// mismatch — surfaces as an error from Open/Reader methods/Finish,
-// never a panic: callers fall back to a from-scratch build.
+// mismatch, a shape the receiver does not have — surfaces as an error
+// from Open, the Codec or Finish, never a panic: callers fall back to a
+// from-scratch build.
 package checkpoint
 
 import (
@@ -52,9 +56,9 @@ func newBufReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, ioB
 // Magic identifies a checkpoint file.
 const Magic = "SILOCKPT"
 
-// FormatVersion is bumped whenever any component's snapshot layout
-// changes; a mismatch makes Open fail and the caller rebuild from
-// scratch.
+// FormatVersion is bumped whenever any component's walk changes the
+// byte layout; a mismatch makes Open fail and the caller rebuild from
+// scratch. core.TestCheckpointImageGolden pins the layout.
 const FormatVersion = 3
 
 // FormatTag names the format generation inside content-hash keys, so
@@ -71,16 +75,6 @@ const FormatTag = "ckpt-v3"
 const maxSliceLen = 1 << 28
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Snapshotter is the per-component seam: Snapshot serializes the
-// component's mutable state, Restore overwrites a freshly constructed
-// component with it. Restore must validate geometry against the
-// receiver (built from the live Config) and return an error — never
-// panic — on any mismatch.
-type Snapshotter interface {
-	Snapshot(w *Writer)
-	Restore(r *Reader) error
-}
 
 // Writer serializes checkpoint payloads with a sticky error and a
 // running CRC. All methods are no-ops once an error is set.
@@ -118,39 +112,15 @@ func (w *Writer) writeRaw(p []byte) {
 	}
 }
 
-// U64 writes one little-endian uint64.
-func (w *Writer) U64(v uint64) {
+// word writes the low size bytes (1, 4 or 8) of v, little-endian.
+func (w *Writer) word(v uint64, size int) {
 	binary.LittleEndian.PutUint64(w.scratch[:], v)
-	w.write(w.scratch[:8])
+	w.write(w.scratch[:size])
 }
 
-// U32 writes one little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:4], v)
-	w.write(w.scratch[:4])
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.scratch[0] = v
-	w.write(w.scratch[:1])
-}
-
-// I64 writes one little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
+// writeString writes a length-prefixed string.
+func (w *Writer) writeString(s string) {
+	w.word(uint64(len(s)), 8)
 	w.write([]byte(s))
 }
 
@@ -163,9 +133,9 @@ func wordBytes[T Word]() int { return bits.Len64(uint64(^T(0))) / 8 }
 
 const bulkBytes = 64 << 10 // staging buffer per bulk flush or fill
 
-// WriteSlab writes a length-prefixed slab in bulk chunks.
-func WriteSlab[T Word](w *Writer, s []T) {
-	w.U64(uint64(len(s)))
+// writeSlab writes a length-prefixed slab in bulk chunks.
+func writeSlab[T Word](w *Writer, s []T) {
+	w.word(uint64(len(s)), 8)
 	size := wordBytes[T]()
 	if w.buf == nil {
 		w.buf = make([]byte, bulkBytes)
@@ -192,10 +162,6 @@ func WriteSlab[T Word](w *Writer, s []T) {
 	}
 }
 
-// Section writes a section marker; Reader.Section verifies it, so a
-// producer/consumer drift fails fast with a named location.
-func (w *Writer) Section(name string) { w.String(name) }
-
 // Finish writes the trailing CRC. Save calls it automatically; it is
 // exported for in-memory Writer/Reader round trips (tests,
 // size probes).
@@ -218,7 +184,7 @@ type Reader struct {
 	buf     []byte
 
 	// left counts the bytes the source still holds, or is -1 when its
-	// size is unknown; SliceLen checks lengths against it.
+	// size is unknown; sliceLen checks lengths against it.
 	left int64
 
 	// Header fields populated by Open.
@@ -238,9 +204,6 @@ func NewReader(r io.Reader) *Reader {
 	}
 	return &Reader{r: r, left: left}
 }
-
-// Err returns the sticky error, if any.
-func (r *Reader) Err() error { return r.err }
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
@@ -274,42 +237,22 @@ func (r *Reader) readRaw(p []byte) bool {
 	return true
 }
 
-// U64 reads one little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if !r.read(r.scratch[:8]) {
+// word reads a little-endian value of size bytes (1, 4 or 8); it reads
+// as 0 once the sticky error is set.
+func (r *Reader) word(size int) uint64 {
+	clear(r.scratch[:])
+	if !r.read(r.scratch[:size]) {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(r.scratch[:8])
+	return binary.LittleEndian.Uint64(r.scratch[:])
 }
 
-// U32 reads one little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if !r.read(r.scratch[:4]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.scratch[:4])
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.read(r.scratch[:1]) {
-		return 0
-	}
-	return r.scratch[0]
-}
-
-// I64 reads one little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Bool reads one byte as a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// SliceLen reads a slice-length prefix for elements of elemBytes each.
+// sliceLen reads a slice-length prefix for elements of elemBytes each.
 // A length whose bytes the source does not hold (or, for a source of
 // unknown size, one above maxSliceLen) sets the sticky error and reads
 // as 0, so a corrupt length fails before its caller allocates anything.
-func (r *Reader) SliceLen(elemBytes int) int {
-	n := r.U64()
+func (r *Reader) sliceLen(elemBytes int) int {
+	n := r.word(8)
 	if r.err != nil {
 		return 0
 	}
@@ -320,9 +263,9 @@ func (r *Reader) SliceLen(elemBytes int) int {
 	return int(n)
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.SliceLen(1)
+// readString reads a length-prefixed string.
+func (r *Reader) readString() string {
+	n := r.sliceLen(1)
 	if r.err != nil || n == 0 {
 		return ""
 	}
@@ -333,28 +276,13 @@ func (r *Reader) String() string {
 	return string(p)
 }
 
-// U64s reads a length-prefixed []uint64 whose length is data, not
-// geometry: the coherence line table, sized by how much warm-up filled
-// it. Fixed-size slabs use ReadSlab.
-func (r *Reader) U64s() []uint64 {
-	n := r.SliceLen(8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	if !decodeSlab(r, out) {
-		return nil
-	}
-	return out
-}
-
-// ReadSlab decodes a slab written by WriteSlab into dst in place. The
+// readSlab decodes a slab written by writeSlab into dst in place. The
 // stored length must equal len(dst) — dst was built from the live
 // Config, so any other length means the checkpoint was cut for another
 // geometry — and a mismatch sets the sticky error without allocating.
 // On error dst may hold a partial decode; the caller discards it.
-func ReadSlab[T Word](r *Reader, dst []T) {
-	n := r.U64()
+func readSlab[T Word](r *Reader, dst []T) {
+	n := r.word(8)
 	if r.err != nil {
 		return
 	}
@@ -394,18 +322,6 @@ func decodeSlab[T Word](r *Reader, dst []T) bool {
 		dst = dst[n:]
 	}
 	return true
-}
-
-// Section verifies the next section marker.
-func (r *Reader) Section(name string) error {
-	got := r.String()
-	if r.err != nil {
-		return r.err
-	}
-	if got != name {
-		r.fail(fmt.Errorf("checkpoint: section mismatch: want %q, got %q", name, got))
-	}
-	return r.err
 }
 
 // Finish verifies the trailing CRC over everything read so far. It must
@@ -463,8 +379,8 @@ func Save(path, key, meta string, write func(*Writer) error) (err error) {
 	var vbuf [4]byte
 	binary.LittleEndian.PutUint32(vbuf[:], FormatVersion)
 	w.writeRaw(vbuf[:])
-	w.String(key)
-	w.String(meta)
+	w.writeString(key)
+	w.writeString(meta)
 	if err := write(w); err != nil {
 		return err
 	}
@@ -490,7 +406,7 @@ func Save(path, key, meta string, write func(*Writer) error) (err error) {
 // commitFile atomically moves a finished temp file into place (fsync +
 // rename + directory fsync). It mirrors robust.CommitFile, which this
 // package cannot import: robust depends on sim (fault injection), and
-// sim's engine snapshot seam depends on this package.
+// sim's engine checkpoint walk depends on this package.
 func commitFile(tmp, path string) error {
 	f, err := os.Open(tmp)
 	if err != nil {
@@ -554,8 +470,8 @@ func Open(path, wantKey string) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: file v%d, supported v%d", ErrVersionMismatch, version, FormatVersion)
 	}
-	r.Key = r.String()
-	r.Meta = r.String()
+	r.Key = r.readString()
+	r.Meta = r.readString()
 	if r.err != nil {
 		f.Close()
 		return nil, r.err

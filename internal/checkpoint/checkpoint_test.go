@@ -11,102 +11,154 @@ import (
 	"testing"
 )
 
-func TestRoundTripScalarsAndSlices(t *testing.T) {
+// testFields is one value of every field kind a walk can carry.
+type testFields struct {
+	u64    uint64
+	u32    uint32
+	u8     uint8
+	i64    int64
+	n      int
+	yes    bool
+	no     bool
+	s      string
+	u8s    []uint8
+	u32s   []uint32
+	u64s   []uint64
+	cycles []cycle
+	data   []uint64
+	empty  []uint64
+}
+
+type cycle uint64 // a named ~uint64 word, like sim.Cycle
+
+func (f *testFields) walk(c *Codec) {
+	c.Section("test")
+	Uint(c, &f.u64)
+	Uint(c, &f.u32)
+	Uint(c, &f.u8)
+	Int(c, &f.i64)
+	Int(c, &f.n)
+	Bool(c, &f.yes)
+	Bool(c, &f.no)
+	String(c, &f.s)
+	Slab(c, f.u8s)
+	Slab(c, f.u32s)
+	Slab(c, f.u64s)
+	Slab(c, f.cycles)
+	DataSlab(c, &f.data)
+	DataSlab(c, &f.empty)
+}
+
+// encode runs walk through an encoder and returns the payload with its
+// trailing CRC.
+func encode(t *testing.T, walk func(*Codec)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Section("test")
-	w.U64(0xDEADBEEFCAFEF00D)
-	w.U32(0x1234ABCD)
-	w.U8(0x7F)
-	w.I64(-42)
-	w.Bool(true)
-	w.Bool(false)
-	w.String("hello, checkpoint")
-	u8s := make([]uint8, 70_000) // every slab spans multiple bulk chunks
-	for i := range u8s {
-		u8s[i] = uint8(i * 131)
-	}
-	WriteSlab(w, u8s)
-	u64s := make([]uint64, 10_000)
-	for i := range u64s {
-		u64s[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	WriteSlab(w, u64s)
-	u32s := make([]uint32, 20_001)
-	for i := range u32s {
-		u32s[i] = uint32(i) * 2654435761
-	}
-	WriteSlab(w, u32s)
-	type cycle uint64 // a named ~uint64 word, like sim.Cycle
-	cycles := []cycle{1, 1 << 40, 1<<64 - 1}
-	WriteSlab(w, cycles)
-	WriteSlab(w, u64s)
-	WriteSlab[uint64](w, nil)
+	walk(NewEncoder(w))
 	if err := w.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
+		t.Fatalf("encode: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestRoundTripScalarsAndSlices: one walk encodes every field kind and
+// decodes it back into a receiver built with the same slab geometry,
+// and the scalars sit at their documented widths.
+func TestRoundTripScalarsAndSlices(t *testing.T) {
+	want := testFields{
+		u64: 0xDEADBEEFCAFEF00D, u32: 0x1234ABCD, u8: 0x7F, i64: -42, n: 1 << 40,
+		yes: true, s: "hello, checkpoint",
+		u8s:    make([]uint8, 70_000), // every slab spans multiple bulk chunks
+		u32s:   make([]uint32, 20_001),
+		u64s:   make([]uint64, 10_000),
+		cycles: []cycle{1, 1 << 40, 1<<64 - 1},
+	}
+	for i := range want.u8s {
+		want.u8s[i] = uint8(i * 131)
+	}
+	for i := range want.u32s {
+		want.u32s[i] = uint32(i) * 2654435761
+	}
+	for i := range want.u64s {
+		want.u64s[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	want.data = append([]uint64(nil), want.u64s...)
+	payload := encode(t, want.walk)
+
+	// Section "test" (8-byte length + 4 bytes), then the scalars:
+	// unsigned words at their own width, integers as 8 bytes, bools as
+	// one byte, strings length-prefixed.
+	scalars := []byte{
+		0x0D, 0xF0, 0xFE, 0xCA, 0xEF, 0xBE, 0xAD, 0xDE,
+		0xCD, 0xAB, 0x34, 0x12,
+		0x7F,
+		0xD6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+		0, 0, 0, 0, 0, 1, 0, 0,
+		1, 0,
+		17, 0, 0, 0, 0, 0, 0, 0,
+	}
+	if got := payload[12 : 12+len(scalars)]; !bytes.Equal(got, scalars) {
+		t.Fatalf("scalar bytes\n got %x\nwant %x", got, scalars)
 	}
 
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if err := r.Section("test"); err != nil {
-		t.Fatalf("Section: %v", err)
+	got := testFields{
+		u8s:    make([]uint8, len(want.u8s)),
+		u32s:   make([]uint32, len(want.u32s)),
+		u64s:   make([]uint64, len(want.u64s)),
+		cycles: make([]cycle, len(want.cycles)),
+		empty:  []uint64{5}, // an empty recorded slab decodes as nil
 	}
-	if got := r.U64(); got != 0xDEADBEEFCAFEF00D {
-		t.Fatalf("U64 = %#x", got)
-	}
-	if got := r.U32(); got != 0x1234ABCD {
-		t.Fatalf("U32 = %#x", got)
-	}
-	if got := r.U8(); got != 0x7F {
-		t.Fatalf("U8 = %#x", got)
-	}
-	if got := r.I64(); got != -42 {
-		t.Fatalf("I64 = %d", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Fatalf("Bool round trip failed")
-	}
-	if got := r.String(); got != "hello, checkpoint" {
-		t.Fatalf("String = %q", got)
-	}
-	gotU8s := make([]uint8, len(u8s))
-	ReadSlab(r, gotU8s)
-	if !bytes.Equal(gotU8s, u8s) {
-		t.Fatalf("uint8 slab mismatch")
-	}
-	gotU64s := make([]uint64, len(u64s))
-	ReadSlab(r, gotU64s)
-	if !reflect.DeepEqual(gotU64s, u64s) {
-		t.Fatalf("uint64 slab mismatch")
-	}
-	gotU32s := make([]uint32, len(u32s))
-	ReadSlab(r, gotU32s)
-	if !reflect.DeepEqual(gotU32s, u32s) {
-		t.Fatalf("uint32 slab mismatch")
-	}
-	gotCycles := make([]cycle, len(cycles))
-	ReadSlab(r, gotCycles)
-	if !reflect.DeepEqual(gotCycles, cycles) {
-		t.Fatalf("named-word slab = %v, want %v", gotCycles, cycles)
-	}
-	if got := r.U64s(); !reflect.DeepEqual(got, u64s) {
-		t.Fatalf("U64s mismatch")
-	}
-	if got := r.U64s(); len(got) != 0 {
-		t.Fatalf("empty U64s = %v", got)
-	}
+	r := NewReader(bytes.NewReader(payload))
+	got.walk(NewDecoder(r))
 	if err := r.Finish(); err != nil {
 		t.Fatalf("Reader.Finish: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip diverges:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestSectionMismatch(t *testing.T) {
+	payload := encode(t, func(c *Codec) { c.Section("alpha") })
+	c := NewDecoder(NewReader(bytes.NewReader(payload)))
+	c.Section("beta")
+	if c.Err() == nil {
+		t.Fatal("section mismatch not detected")
+	}
+}
+
+// TestShapeMismatch: a decoder compares each shape field with the
+// receiver's and never overwrites it; Check fails either direction.
+func TestShapeMismatch(t *testing.T) {
+	payload := encode(t, func(c *Codec) {
+		Shape(c, "sets", 8, Int)
+		Shape(c, "name", "trace", String)
+	})
+	decode := func(sets int, name string) error {
+		c := NewDecoder(NewReader(bytes.NewReader(payload)))
+		Shape(c, "sets", sets, Int)
+		Shape(c, "name", name, String)
+		return c.Err()
+	}
+	if err := decode(8, "trace"); err != nil {
+		t.Fatalf("matching shape rejected: %v", err)
+	}
+	if err := decode(16, "trace"); err == nil || !strings.Contains(err.Error(), "sets 8 recorded, receiver has 16") {
+		t.Fatalf("geometry mismatch: %v", err)
+	}
+	if err := decode(8, "other"); err == nil {
+		t.Fatal("name mismatch accepted")
+	}
+
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Section("alpha")
-	w.Finish()
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if err := r.Section("beta"); err == nil {
-		t.Fatal("section mismatch not detected")
+	c := NewEncoder(w)
+	c.Check(false, "core %d is mid-run", 3)
+	v := uint64(1)
+	Uint(c, &v)
+	if w.Err() == nil || w.Err().Error() != "core 3 is mid-run" || buf.Len() != 0 {
+		t.Fatalf("encoder Check: err %v, %d bytes written", w.Err(), buf.Len())
 	}
 }
 
@@ -114,9 +166,10 @@ func writeTestFile(t *testing.T, dir, key string) string {
 	t.Helper()
 	path := filepath.Join(dir, key+".ckpt")
 	err := Save(path, key, `{"test":true}`, func(w *Writer) error {
-		w.Section("payload")
-		for i := 0; i < 1000; i++ {
-			w.U64(uint64(i))
+		c := NewEncoder(w)
+		c.Section("payload")
+		for i := uint64(0); i < 1000; i++ {
+			Uint(c, &i)
 		}
 		return nil
 	})
@@ -133,11 +186,11 @@ func readAll(t *testing.T, path, key string) error {
 		return err
 	}
 	defer r.Close()
-	if err := r.Section("payload"); err != nil {
-		return err
-	}
+	c := NewDecoder(r)
+	c.Section("payload")
 	for i := 0; i < 1000; i++ {
-		r.U64() // values are only trustworthy once Finish verifies the CRC
+		var v uint64
+		Uint(c, &v) // values are only trustworthy once Finish verifies the CRC
 	}
 	return r.Finish()
 }
@@ -233,64 +286,77 @@ func TestBadMagic(t *testing.T) {
 
 // TestCorruptSliceLength: a length prefix whose bytes the source does
 // not hold fails before anything is allocated — in memory, from a file
-// through Open, and (by the element cap) from a source of unknown size.
+// through Open, and (by the element cap) from a source of unknown size —
+// whether a data-length slab or a walked slice reads it.
 func TestCorruptSliceLength(t *testing.T) {
 	for _, n := range []uint64{1 << 40, 1<<28 - 1} {
+		writeLen := func(w *Writer) error { Uint(NewEncoder(w), &n); return nil }
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		w.U64(n)
+		writeLen(w)
 		w.Finish()
 		path := filepath.Join(t.TempDir(), "corrupt.ckpt")
-		if err := Save(path, "k", "", func(w *Writer) error { w.U64(n); return nil }); err != nil {
+		if err := Save(path, "k", "", writeLen); err != nil {
 			t.Fatal(err)
 		}
-		f, err := Open(path, "k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		sources := map[string]*Reader{
-			"memory": NewReader(bytes.NewReader(buf.Bytes())),
-			"file":   f,
+		readers := map[string]func() *Reader{
+			"memory": func() *Reader { return NewReader(bytes.NewReader(buf.Bytes())) },
+			"file": func() *Reader {
+				r, err := Open(path, "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { r.Close() })
+				return r
+			},
 		}
 		if n > maxSliceLen {
-			sources["stream"] = NewReader(struct{ *bytes.Reader }{bytes.NewReader(buf.Bytes())})
-		}
-		for name, r := range sources {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			got := r.U64s()
-			runtime.ReadMemStats(&after)
-			if got != nil || r.Err() == nil {
-				t.Fatalf("%s: corrupt length %d accepted: %v / %v", name, n, got, r.Err())
+			readers["stream"] = func() *Reader {
+				return NewReader(struct{ *bytes.Reader }{bytes.NewReader(buf.Bytes())})
 			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-				t.Fatalf("%s: corrupt length %d allocated %d bytes before failing", name, n, grew)
+		}
+		for name, open := range readers {
+			for walk, read := range map[string]func(c *Codec) int{
+				"DataSlab": func(c *Codec) int { var s []uint64; DataSlab(c, &s); return len(s) },
+				"Len":      func(c *Codec) int { var l int; Len(c, &l, 16); return l },
+			} {
+				c := NewDecoder(open())
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				got := read(c)
+				runtime.ReadMemStats(&after)
+				if got != 0 || c.Err() == nil {
+					t.Fatalf("%s %s: corrupt length %d accepted: %d / %v", name, walk, n, got, c.Err())
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+					t.Fatalf("%s %s: corrupt length %d allocated %d bytes before failing", name, walk, n, grew)
+				}
 			}
 		}
 	}
 }
 
-// TestReadSlabLengthMismatch: the in-place read accepts only a stored
-// length equal to len(dst), for every element width, and a mismatch is
-// sticky.
+// TestReadSlabLengthMismatch: an in-place slab decode accepts only a
+// recorded length equal to len(dst), for every element width, and a
+// mismatch is sticky.
 func TestReadSlabLengthMismatch(t *testing.T) {
-	check := func(name string, read func(r *Reader)) {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		WriteSlab(w, []uint64{1, 2, 3})
-		w.U64(7)
-		w.Finish()
-		r := NewReader(bytes.NewReader(buf.Bytes()))
-		read(r)
-		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "slab of 3 elements") {
+	payload := encode(t, func(c *Codec) {
+		Slab(c, []uint64{1, 2, 3})
+		v := uint64(7)
+		Uint(c, &v)
+	})
+	check := func(name string, decode func(c *Codec)) {
+		c := NewDecoder(NewReader(bytes.NewReader(payload)))
+		decode(c)
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "slab of 3 elements") {
 			t.Fatalf("%s: length mismatch not rejected: %v", name, err)
 		}
-		if r.U64() != 0 || r.Err() == nil {
+		v := uint64(99)
+		if Uint(c, &v); v != 0 || c.Err() == nil {
 			t.Fatalf("%s: error not sticky", name)
 		}
 	}
-	check("uint8", func(r *Reader) { ReadSlab(r, make([]uint8, 4)) })
-	check("uint32", func(r *Reader) { ReadSlab(r, make([]uint32, 2)) })
-	check("uint64", func(r *Reader) { ReadSlab(r, make([]uint64, 0)) })
+	check("uint8", func(c *Codec) { Slab(c, make([]uint8, 4)) })
+	check("uint32", func(c *Codec) { Slab(c, make([]uint32, 2)) })
+	check("uint64", func(c *Codec) { Slab(c, make([]uint64, 0)) })
 }

@@ -26,7 +26,7 @@ func TestSnoopFilterStoreDifferential(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			const cores = 16
 			fast := NewSnoopFilterWithStore(cores, kind)
-			ref := NewSnoopFilterWithStore(cores, MapStore)
+			ref := newMapSnoopFilter(cores)
 			rng := sim.NewRNG(seed * 31337)
 
 			const lines = 3000 // enough to grow the table several times
@@ -90,7 +90,7 @@ func TestDirectoryStoreDifferential(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				const cores = 16
 				fast := NewDirectoryWithStore(cores, proto, kind)
-				ref := NewDirectoryWithStore(cores, proto, MapStore)
+				ref := newMapDirectory(cores, proto)
 				rng := sim.NewRNG(seed*7907 + uint64(proto))
 
 				const lines = 2500

@@ -139,8 +139,8 @@ func NewDirectory(cores int, protocol Protocol) *Directory {
 }
 
 // NewDirectoryWithStore builds a directory on an explicit store
-// implementation; the differential test drives the table stores against
-// MapStore to prove operation-for-operation equality.
+// implementation; the differential test drives both against the Go-map
+// reference to prove operation-for-operation equality.
 func NewDirectoryWithStore(cores int, protocol Protocol, kind StoreKind) *Directory {
 	if cores <= 0 || cores > 32 {
 		panic(fmt.Sprintf("coherence: core count %d outside [1,32]", cores))

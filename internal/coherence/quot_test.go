@@ -190,7 +190,7 @@ func TestQuotStoreKindGates(t *testing.T) {
 	if QuotTable.String() != "quot-table" {
 		t.Fatalf("StoreKind name %q", QuotTable.String())
 	}
-	for kind, want := range map[StoreKind]int{QuotTable: 8, OpenTable: 16, MapStore: 0} {
+	for kind, want := range map[StoreKind]int{QuotTable: 8, OpenTable: 16} {
 		dir := NewDirectoryWithStore(16, MOESI, kind).BytesPerSlot()
 		snoop := NewSnoopFilterWithStore(16, kind).BytesPerSlot()
 		if dir != want || snoop != want {
@@ -209,11 +209,17 @@ func TestQuotStoreKindGates(t *testing.T) {
 }
 
 // TestFullWidthEntries32Cores pins the packed-entry layout at the full
-// 32-core width on the open and map stores (regression: a 16-bit mask
-// field silently truncated cores 16-31 and overflowed the owner field).
+// 32-core width on the open table and the map reference (regression: a
+// 16-bit mask field silently truncated cores 16-31 and overflowed the
+// owner field).
 func TestFullWidthEntries32Cores(t *testing.T) {
-	for _, kind := range []StoreKind{OpenTable, MapStore} {
-		f := NewSnoopFilterWithStore(32, kind)
+	for kind, build := range map[string]func() (*SnoopFilter, *Directory){
+		"open-table": func() (*SnoopFilter, *Directory) {
+			return NewSnoopFilterWithStore(32, OpenTable), NewDirectoryWithStore(32, MOESI, OpenTable)
+		},
+		"map": func() (*SnoopFilter, *Directory) { return newMapSnoopFilter(32), newMapDirectory(32, MOESI) },
+	} {
+		f, d := build()
 		l := mem.LineAddr(4096)
 		for c := 0; c < 32; c++ {
 			f.Read(l, c)
@@ -228,7 +234,6 @@ func TestFullWidthEntries32Cores(t *testing.T) {
 			t.Fatalf("%v: dirty owner = %d, want 31", kind, f.DirtyOwner(l))
 		}
 
-		d := NewDirectoryWithStore(32, MOESI, kind)
 		d.Read(l, 31)
 		if d.Owner(l) != 31 || d.StateOf(l, 31) != cache.Exclusive {
 			t.Fatalf("%v: owner %d state %v, want 31/E", kind, d.Owner(l), d.StateOf(l, 31))

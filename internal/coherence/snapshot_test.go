@@ -72,26 +72,29 @@ func snoopContents(f *SnoopFilter) map[mem.LineAddr][2]uint64 {
 	return out
 }
 
+// roundTrip encodes from's walk and decodes it into into's, returning
+// the first error either direction or the trailing checksum reports.
+func roundTrip(from, into func(*checkpoint.Codec)) error {
+	var buf bytes.Buffer
+	w := checkpoint.NewWriter(&buf)
+	from(checkpoint.NewEncoder(w))
+	if err := w.Finish(); err != nil {
+		return err
+	}
+	r := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
+	into(checkpoint.NewDecoder(r))
+	return r.Finish()
+}
+
 func TestSnoopFilterSnapshotRoundTrip(t *testing.T) {
-	for _, kind := range []StoreKind{QuotTable, OpenTable, MapStore} {
+	for _, kind := range []StoreKind{QuotTable, OpenTable} {
 		cores := 8
 		f := NewSnoopFilterWithStore(cores, kind)
 		driveSnoop(f, cores, 3000)
 
-		var buf bytes.Buffer
-		w := checkpoint.NewWriter(&buf)
-		f.Snapshot(w)
-		if err := w.Finish(); err != nil {
-			t.Fatalf("%v: snapshot: %v", kind, err)
-		}
-
 		g := NewSnoopFilterWithStore(cores, kind)
-		r := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
-		if err := g.Restore(r); err != nil {
-			t.Fatalf("%v: restore: %v", kind, err)
-		}
-		if err := r.Finish(); err != nil {
-			t.Fatalf("%v: finish: %v", kind, err)
+		if err := roundTrip(f.Checkpoint, g.Checkpoint); err != nil {
+			t.Fatalf("%v: round trip: %v", kind, err)
 		}
 		if g.Entries() != f.Entries() || g.Forwards != f.Forwards || g.Invalidations != f.Invalidations {
 			t.Fatalf("%v: size/stats diverge: %d/%d/%d vs %d/%d/%d",
@@ -123,7 +126,7 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		kind    StoreKind
 		reserve int // lines reserved before filling; 0 grows incrementally
-	}{{QuotTable, 0}, {QuotTable, 4096}, {OpenTable, 0}, {MapStore, 0}} {
+	}{{QuotTable, 0}, {QuotTable, 4096}, {OpenTable, 0}} {
 		kind := tc.kind
 		for _, proto := range []Protocol{MOESI, MESI} {
 			cores := 8
@@ -131,20 +134,9 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 			d.Reserve(tc.reserve)
 			driveDirectory(d, cores, 3000)
 
-			var buf bytes.Buffer
-			w := checkpoint.NewWriter(&buf)
-			d.Snapshot(w)
-			if err := w.Finish(); err != nil {
-				t.Fatalf("%v/%v: snapshot: %v", kind, proto, err)
-			}
-
 			g := NewDirectoryWithStore(cores, proto, kind)
-			r := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
-			if err := g.Restore(r); err != nil {
-				t.Fatalf("%v/%v: restore: %v", kind, proto, err)
-			}
-			if err := r.Finish(); err != nil {
-				t.Fatalf("%v/%v: finish: %v", kind, proto, err)
+			if err := roundTrip(d.Checkpoint, g.Checkpoint); err != nil {
+				t.Fatalf("%v/%v: round trip: %v", kind, proto, err)
 			}
 			driveDirectory(d, cores, 2000)
 			driveDirectory(g, cores, 2000)
@@ -167,15 +159,8 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 func TestStoreKindMismatchRejected(t *testing.T) {
 	f := NewSnoopFilterWithStore(4, QuotTable)
 	driveSnoop(f, 4, 100)
-	var buf bytes.Buffer
-	w := checkpoint.NewWriter(&buf)
-	f.Snapshot(w)
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
 	g := NewSnoopFilterWithStore(4, OpenTable)
-	r := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
-	if err := g.Restore(r); err == nil {
+	if err := roundTrip(f.Checkpoint, g.Checkpoint); err == nil {
 		t.Fatal("store-kind mismatch not rejected")
 	}
 }

@@ -66,8 +66,8 @@ func NewSnoopFilter(cores int) *SnoopFilter {
 }
 
 // NewSnoopFilterWithStore builds a filter on an explicit store
-// implementation; the differential test drives the table stores against
-// MapStore to prove operation-for-operation equality.
+// implementation; the differential test drives both against the Go-map
+// reference to prove operation-for-operation equality.
 func NewSnoopFilterWithStore(cores int, kind StoreKind) *SnoopFilter {
 	if cores <= 0 || cores > 32 {
 		panic(fmt.Sprintf("coherence: core count %d outside [1,32]", cores))

@@ -7,16 +7,17 @@ import (
 )
 
 // lineStore is the per-line state storage both coherence substrates sit
-// on: a map from line address to an inline value. Three implementations
-// exist — quotTable (the default fast path: quotient-key-compressed
-// 8 B/slot open addressing, quot.go), openTable (the full-key 16 B/slot
-// table, also the fallback above quotTable's core-count budget) and
-// mapStore (the reference: a plain Go map) — and randomized differential
-// tests (differential_test.go) prove a SnoopFilter or Directory built on
-// any of them returns identical results and stats for every operation.
-// Iteration order of forEach is unspecified for all three, and no
-// simulation result may depend on it (the determinism contract,
-// DESIGN.md §7 and §8).
+// on: a map from line address to an inline value. Two implementations
+// run in production — quotTable (the default fast path:
+// quotient-key-compressed 8 B/slot open addressing, quot.go) and
+// openTable (the full-key 16 B/slot table, also the fallback above
+// quotTable's core-count budget) — and randomized differential tests
+// (differential_test.go) prove a SnoopFilter or Directory built on
+// either returns, operation for operation, what one built on the
+// test-only Go-map reference (mapStore, map_test.go) returns. Iteration
+// order of forEach is unspecified for every store, and no simulation
+// result may depend on it (the determinism contract, DESIGN.md §7 and
+// §8).
 type lineStore[V lineValue[V]] interface {
 	// get returns the value for the line and whether it is present.
 	get(line mem.LineAddr) (V, bool)
@@ -37,41 +38,34 @@ type lineStore[V lineValue[V]] interface {
 	del(line mem.LineAddr)
 	// size returns the number of stored lines.
 	size() int
-	// bytesPerSlot reports the inline bytes one table slot occupies (0 for
-	// the map reference, whose layout is runtime-managed).
+	// bytesPerSlot reports the inline bytes one table slot occupies.
 	bytesPerSlot() int
 	// forEach visits every stored line in unspecified order. fn must not
 	// mutate the store.
 	forEach(fn func(line mem.LineAddr, v V))
 	// reserve sizes an empty store for n lines, so the first n distinct
-	// puts never grow it. A non-empty store, and the map reference,
-	// ignore it.
+	// puts never grow it. A non-empty store ignores it.
 	reserve(n int)
 }
 
 // StoreKind selects a lineStore implementation when constructing a
-// SnoopFilter or Directory.
+// SnoopFilter or Directory. Checkpoints record it as a byte, so the
+// values are part of the format.
 type StoreKind uint8
 
 const (
 	// OpenTable is the full-key open-addressed table (table.go).
-	OpenTable StoreKind = iota
-	// MapStore is the Go-map reference implementation.
-	MapStore
+	OpenTable StoreKind = 0
 	// QuotTable is the quotient-key-compressed table (quot.go): 8 B/slot,
 	// supporting up to quotMaxCores cores.
-	QuotTable
+	QuotTable StoreKind = 2
 )
 
 func (k StoreKind) String() string {
-	switch k {
-	case MapStore:
-		return "map"
-	case QuotTable:
+	if k == QuotTable {
 		return "quot-table"
-	default:
-		return "open-table"
 	}
+	return "open-table"
 }
 
 // DefaultStore returns the store kind the default constructors use: the
@@ -84,23 +78,10 @@ func DefaultStore(cores int) StoreKind {
 	return OpenTable
 }
 
-func newLineStore[V lineValue[V]](kind StoreKind) lineStore[V] {
-	switch kind {
-	case OpenTable:
-		return newOpenTable[V]()
-	case MapStore:
-		return mapStore[V]{}
-	case QuotTable:
-		return newQuotTable[V]()
-	default:
-		panic(fmt.Sprintf("coherence: unknown store kind %d", kind))
-	}
-}
-
 // hotStore pairs the lineStore interface with a devirtualized fast path:
 // when the store is the quotient or open table, hot operations call it
 // directly (avoiding the interface dispatch the Go compiler cannot inline
-// through); the interface remains the contract and the map reference's
+// through); the interface remains the contract and the test reference's
 // entry point.
 type hotStore[V lineValue[V]] struct {
 	lineStore[V]
@@ -109,10 +90,16 @@ type hotStore[V lineValue[V]] struct {
 }
 
 func newHotStore[V lineValue[V]](kind StoreKind) hotStore[V] {
-	s := newLineStore[V](kind)
-	fast, _ := s.(*openTable[V])
-	fastQ, _ := s.(*quotTable[V])
-	return hotStore[V]{lineStore: s, fast: fast, fastQ: fastQ}
+	switch kind {
+	case QuotTable:
+		t := newQuotTable[V]()
+		return hotStore[V]{lineStore: t, fastQ: t}
+	case OpenTable:
+		t := newOpenTable[V]()
+		return hotStore[V]{lineStore: t, fast: t}
+	default:
+		panic(fmt.Sprintf("coherence: unknown store kind %d", kind))
+	}
 }
 
 func (h hotStore[V]) get(line mem.LineAddr) (V, bool) {
@@ -168,39 +155,6 @@ func (h hotStore[V]) del(line mem.LineAddr) {
 		return
 	}
 	h.lineStore.del(line)
-}
-
-// mapStore is the reference lineStore: a Go map of boxed values (boxing
-// gives ref a stable pointer; reference-path performance is irrelevant).
-type mapStore[V any] map[mem.LineAddr]*V
-
-func (m mapStore[V]) get(line mem.LineAddr) (V, bool) {
-	if p, ok := m[line]; ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
-func (m mapStore[V]) ref(line mem.LineAddr) *V { return m[line] }
-func (m mapStore[V]) sync()                    {} // refs mutate the boxed value directly
-func (m mapStore[V]) bytesPerSlot() int        { return 0 }
-
-func (m mapStore[V]) put(line mem.LineAddr, v V) {
-	if p, ok := m[line]; ok {
-		*p = v
-		return
-	}
-	m[line] = &v
-}
-
-func (m mapStore[V]) del(line mem.LineAddr) { delete(m, line) }
-func (m mapStore[V]) size() int             { return len(m) }
-func (m mapStore[V]) reserve(int)           {}
-func (m mapStore[V]) forEach(fn func(mem.LineAddr, V)) {
-	for line, p := range m {
-		fn(line, *p)
-	}
 }
 
 // openTable is the fast lineStore: an open-addressed hash table with

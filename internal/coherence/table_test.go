@@ -174,7 +174,7 @@ func TestOpenTableBackwardShift(t *testing.T) {
 }
 
 func TestStoreKindString(t *testing.T) {
-	if OpenTable.String() != "open-table" || MapStore.String() != "map" {
+	if OpenTable.String() != "open-table" || QuotTable.String() != "quot-table" {
 		t.Fatal("StoreKind names wrong")
 	}
 }

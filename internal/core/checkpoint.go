@@ -1,17 +1,15 @@
 package core
 
-// Warm-state checkpointing (DESIGN.md §11): System.Checkpoint
-// serializes a warmed, not-yet-started system through every layer's
-// Snapshot seam; NewSystemFromCheckpoint rebuilds a system from Config
-// (geometry, timing, derived tables) and overwrites its mutable state
-// from the checkpoint. Restored state is field-for-field identical to
-// the snapshotted system, so the subsequent timed run is bit-identical
-// to one that warmed from scratch — proven by differential tests for
-// both hierarchy families.
+// Warm-state checkpointing (DESIGN.md §11): System.Checkpoint encodes a
+// warmed, not-yet-started system by walking every layer's Checkpoint
+// over a checkpoint.Codec; NewSystemFromCheckpoint rebuilds a system
+// from Config (geometry, timing, derived tables) and decodes its mutable
+// state with the same walk. Restored state is field-for-field identical
+// to the checkpointed system, so the subsequent timed run is
+// bit-identical to one that warmed from scratch — proven by differential
+// tests for both hierarchy families.
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/vault"
@@ -23,24 +21,7 @@ import (
 // WarmFunctional, while the event engine is quiescent and every core is
 // idle); a started system is an error.
 func (s *System) Checkpoint(w *checkpoint.Writer) error {
-	if s.started {
-		return fmt.Errorf("core: cannot checkpoint a started system")
-	}
-	w.Section("core.System")
-	w.U8(uint8(s.cfg.Kind))
-	w.I64(int64(s.cfg.Cores))
-	s.engine.Snapshot(w)
-	s.mainMem.Snapshot(w)
-	s.mesh.Snapshot(w)
-	w.I64(int64(len(s.sources)))
-	for _, st := range s.sources {
-		st.Snapshot(w)
-	}
-	w.I64(int64(len(s.cores)))
-	for _, c := range s.cores {
-		c.Snapshot(w)
-	}
-	s.hier.snapshot(w)
+	s.checkpoint(checkpoint.NewEncoder(w))
 	return w.Err()
 }
 
@@ -55,257 +36,90 @@ func NewSystemFromCheckpoint(cfg Config, specs []workload.Spec, r *checkpoint.Re
 
 // NewSystemFromCheckpointSources is NewSystemFromCheckpoint for the
 // scenario path: the caller rebuilds the per-core sources exactly as it
-// did for the snapshotted system (the checkpoint key covers the
+// did for the checkpointed system (the checkpoint key covers the
 // scenario digest, so equal keys mean equal source construction), and
 // the restore overwrites their mutable state through each source's
-// Restore seam.
+// Checkpoint walk.
 func NewSystemFromCheckpointSources(cfg Config, sources []workload.Source, r *checkpoint.Reader) (*System, error) {
 	return restoreSystem(NewSystemFromSources(cfg, sources), r)
 }
 
 func restoreSystem(sys *System, r *checkpoint.Reader) (*System, error) {
-	if err := sys.restoreFrom(r); err != nil {
-		return nil, err
-	}
+	sys.checkpoint(checkpoint.NewDecoder(r))
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
 
-func (s *System) restoreFrom(r *checkpoint.Reader) error {
-	if err := r.Section("core.System"); err != nil {
-		return err
-	}
-	kind := Kind(r.U8())
-	cores := int(r.I64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if kind != s.cfg.Kind || cores != s.cfg.Cores {
-		return fmt.Errorf("core: checkpoint for %v/%d cores, system is %v/%d",
-			kind, cores, s.cfg.Kind, s.cfg.Cores)
-	}
-	if err := s.engine.Restore(r); err != nil {
-		return err
-	}
-	if err := s.mainMem.Restore(r); err != nil {
-		return err
-	}
-	if err := s.mesh.Restore(r); err != nil {
-		return err
-	}
-	if n := int(r.I64()); n != len(s.sources) {
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("core: checkpoint has %d streams, system has %d", n, len(s.sources))
-	}
-	for _, st := range s.sources {
-		if err := st.Restore(r); err != nil {
-			return err
-		}
-	}
-	if n := int(r.I64()); n != len(s.cores) {
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("core: checkpoint has %d cores, system has %d", n, len(s.cores))
-	}
-	for _, c := range s.cores {
-		if err := c.Restore(r); err != nil {
-			return err
-		}
-	}
-	return s.hier.restore(r)
+// checkpoint walks the whole system: its kind and core count as shape,
+// then the engine, memory, mesh, sources, cores and hierarchy.
+func (s *System) checkpoint(c *checkpoint.Codec) {
+	c.Check(!s.started, "core: cannot checkpoint a started system")
+	c.Section("core.System")
+	checkpoint.Shape(c, "core.System kind", s.cfg.Kind, checkpoint.Uint)
+	checkpoint.Shape(c, "core.System cores", s.cfg.Cores, checkpoint.Int)
+	s.engine.Checkpoint(c)
+	s.mainMem.Checkpoint(c)
+	s.mesh.Checkpoint(c)
+	checkpointAll(c, "core.System streams", s.sources)
+	checkpointAll(c, "core.System cores", s.cores)
+	s.hier.checkpoint(c)
 }
 
-// snapshotStats writes the Stats counters in declaration order.
-func snapshotStats(w *checkpoint.Writer, st *Stats) {
-	w.Section("core.Stats")
-	w.U64(st.LLCAccesses)
-	w.U64(st.LocalHits)
-	w.U64(st.RemoteHits)
-	w.U64(st.Misses)
-	w.U64(st.Reads)
-	w.U64(st.WritesPrivate)
-	w.U64(st.WritesRWShared)
-	w.U64(st.MemAccesses)
-	w.U64(st.MemWritebacks)
-	w.U64(st.VaultAccesses)
-	w.U64(st.DRAMCacheHits)
-	w.U64(st.Invalidations)
-	w.U64(st.Forwards)
-	w.U64(st.DirAccesses)
-	w.U64(st.Upgrades)
-}
-
-func restoreStats(r *checkpoint.Reader, st *Stats) error {
-	if err := r.Section("core.Stats"); err != nil {
-		return err
-	}
-	var v Stats
-	v.LLCAccesses = r.U64()
-	v.LocalHits = r.U64()
-	v.RemoteHits = r.U64()
-	v.Misses = r.U64()
-	v.Reads = r.U64()
-	v.WritesPrivate = r.U64()
-	v.WritesRWShared = r.U64()
-	v.MemAccesses = r.U64()
-	v.MemWritebacks = r.U64()
-	v.VaultAccesses = r.U64()
-	v.DRAMCacheHits = r.U64()
-	v.Invalidations = r.U64()
-	v.Forwards = r.U64()
-	v.DirAccesses = r.U64()
-	v.Upgrades = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	*st = v
-	return nil
-}
-
-func snapshotArrays(w *checkpoint.Writer, name string, arrs []*cache.Array) {
-	w.Section(name)
-	w.I64(int64(len(arrs)))
-	for _, a := range arrs {
-		a.Snapshot(w)
+// checkpointAll walks the component count as shape, then each component.
+func checkpointAll[T interface{ Checkpoint(*checkpoint.Codec) }](c *checkpoint.Codec, name string, xs []T) {
+	checkpoint.Shape(c, name, len(xs), checkpoint.Int)
+	for _, x := range xs {
+		x.Checkpoint(c)
 	}
 }
 
-func restoreArrays(r *checkpoint.Reader, name string, arrs []*cache.Array) error {
-	if err := r.Section(name); err != nil {
-		return err
-	}
-	n := int(r.I64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(arrs) {
-		return fmt.Errorf("core: checkpoint section %s has %d arrays, system has %d", name, n, len(arrs))
-	}
-	for _, a := range arrs {
-		if err := a.Restore(r); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-func snapshotVaults(w *checkpoint.Writer, vaults []*vault.Vault) {
-	w.Section("vaults")
-	w.I64(int64(len(vaults)))
-	for _, v := range vaults {
-		v.Snapshot(w)
+// checkpointStats walks the Stats counters in declaration order.
+func checkpointStats(c *checkpoint.Codec, st *Stats) {
+	c.Section("core.Stats")
+	for _, p := range []*uint64{
+		&st.LLCAccesses, &st.LocalHits, &st.RemoteHits, &st.Misses,
+		&st.Reads, &st.WritesPrivate, &st.WritesRWShared,
+		&st.MemAccesses, &st.MemWritebacks, &st.VaultAccesses, &st.DRAMCacheHits,
+		&st.Invalidations, &st.Forwards, &st.DirAccesses, &st.Upgrades,
+	} {
+		checkpoint.Uint(c, p)
 	}
 }
 
-func restoreVaults(r *checkpoint.Reader, vaults []*vault.Vault) error {
-	if err := r.Section("vaults"); err != nil {
-		return err
-	}
-	n := int(r.I64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(vaults) {
-		return fmt.Errorf("core: checkpoint has %d vaults, system has %d", n, len(vaults))
-	}
-	for _, v := range vaults {
-		if err := v.Restore(r); err != nil {
-			return err
-		}
-	}
-	return nil
+func checkpointArrays(c *checkpoint.Codec, name string, arrs []*cache.Array) {
+	c.Section(name)
+	checkpointAll(c, name+" arrays", arrs)
 }
 
-func (h *sharedHierarchy) snapshot(w *checkpoint.Writer) {
-	w.Section("core.sharedHierarchy")
-	snapshotStats(w, &h.st)
-	snapshotArrays(w, "l1i", h.l1i)
-	snapshotArrays(w, "l1d", h.l1d)
-	snapshotArrays(w, "l2", h.l2)
-	snapshotArrays(w, "banks", h.banks)
-	snapshotVaults(w, h.vaults)
-	h.snoop.Snapshot(w)
-	w.Bool(h.dramCache != nil)
+func checkpointVaults(c *checkpoint.Codec, vaults []*vault.Vault) {
+	c.Section("vaults")
+	checkpointAll(c, "vaults", vaults)
+}
+
+func (h *sharedHierarchy) checkpoint(c *checkpoint.Codec) {
+	c.Section("core.sharedHierarchy")
+	checkpointStats(c, &h.st)
+	checkpointArrays(c, "l1i", h.l1i)
+	checkpointArrays(c, "l1d", h.l1d)
+	checkpointArrays(c, "l2", h.l2)
+	checkpointArrays(c, "banks", h.banks)
+	checkpointVaults(c, h.vaults)
+	h.snoop.Checkpoint(c)
+	checkpoint.Shape(c, "core DRAM-cache presence", h.dramCache != nil, checkpoint.Bool)
 	if h.dramCache != nil {
-		h.dramCache.Snapshot(w)
+		h.dramCache.Checkpoint(c)
 	}
 }
 
-func (h *sharedHierarchy) restore(r *checkpoint.Reader) error {
-	if err := r.Section("core.sharedHierarchy"); err != nil {
-		return err
-	}
-	if err := restoreStats(r, &h.st); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "l1i", h.l1i); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "l1d", h.l1d); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "l2", h.l2); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "banks", h.banks); err != nil {
-		return err
-	}
-	if err := restoreVaults(r, h.vaults); err != nil {
-		return err
-	}
-	if err := h.snoop.Restore(r); err != nil {
-		return err
-	}
-	hasDRAM := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasDRAM != (h.dramCache != nil) {
-		return fmt.Errorf("core: checkpoint DRAM-cache presence %v, system has %v", hasDRAM, h.dramCache != nil)
-	}
-	if h.dramCache != nil {
-		return h.dramCache.Restore(r)
-	}
-	return nil
-}
-
-func (h *privateHierarchy) snapshot(w *checkpoint.Writer) {
-	w.Section("core.privateHierarchy")
-	snapshotStats(w, &h.st)
-	snapshotArrays(w, "l1i", h.l1i)
-	snapshotArrays(w, "l1d", h.l1d)
-	snapshotArrays(w, "l2", h.l2)
-	snapshotArrays(w, "vaultArr", h.vaultArr)
-	snapshotVaults(w, h.vaults)
-	h.dir.Snapshot(w)
-}
-
-func (h *privateHierarchy) restore(r *checkpoint.Reader) error {
-	if err := r.Section("core.privateHierarchy"); err != nil {
-		return err
-	}
-	if err := restoreStats(r, &h.st); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "l1i", h.l1i); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "l1d", h.l1d); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "l2", h.l2); err != nil {
-		return err
-	}
-	if err := restoreArrays(r, "vaultArr", h.vaultArr); err != nil {
-		return err
-	}
-	if err := restoreVaults(r, h.vaults); err != nil {
-		return err
-	}
-	return h.dir.Restore(r)
+func (h *privateHierarchy) checkpoint(c *checkpoint.Codec) {
+	c.Section("core.privateHierarchy")
+	checkpointStats(c, &h.st)
+	checkpointArrays(c, "l1i", h.l1i)
+	checkpointArrays(c, "l1d", h.l1d)
+	checkpointArrays(c, "l2", h.l2)
+	checkpointArrays(c, "vaultArr", h.vaultArr)
+	checkpointVaults(c, h.vaults)
+	h.dir.Checkpoint(c)
 }

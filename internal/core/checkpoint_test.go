@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -218,4 +222,117 @@ func TestCheckpointRestoreAllocation(t *testing.T) {
 		t.Fatalf("restore allocated %d bytes, want at most %d (NewSystem %d + line table %d + 1 MiB)",
 			restore, limit, build, lineTableSlab)
 	}
+}
+
+// imageGolden pins the SHA-256 of the checkpoint image (key "golden",
+// meta "{}") each system below saves. The restore differentials save and
+// restore with one binary, so they cannot see a layout change; this test
+// can. Any change of the on-disk layout — a field added, dropped,
+// reordered or resized — must bump checkpoint.FormatVersion, after which
+// these constants are regenerated from the new failure messages.
+var imageGolden = map[string]string{
+	"Baseline-4":      "fd10c35b8675f85d184b8f8e7dafbd1443e558492ad296f9bf95ffd46e640cad",
+	"BaselineDRAM-4":  "e67c6cce1106f92d7acfefa62dfd4e03be5bbe57869272f0030a4023e765e023",
+	"Baseline-32":     "350e390a3ed423936671f1f96e58f00b39c6786f83b78448c102dfbddcfaa08b",
+	"SILO-4":          "c5ac831fafbb445e263cef89cf39d825a812fcc1fe7c7f205dc0e314fb66004b",
+	"SILO-4-L2":       "2b295d1710cd6b5c62854b431f012e825e12d4fe169b129f8ac734dd203892a1",
+	"SILO-32":         "89c2f7560c72318ac175c3fb554c1dd6eaf014c152a4b6c57bf938d2ac526f18",
+	"VaultsShared-4":  "f1e2100920f91ad395c96a0ca6883aafa6486bb32b81e54095c562cf72df4b62",
+	"SILOCO-4":        "5237117668575a48925cb3d2e5318c7dcb0d6255b0d32f0177879c13458ec441",
+	"scenario-SILO-4": "940aef2e7f83260675591b74f8f75c5d07a20c7639b6dde1cbf172e9b276b941",
+}
+
+// TestCheckpointImageGolden guards the byte format: every
+// checkpointTestConfigs system, plus a scenario of phased streams and a
+// trace replay, must save exactly the image the pinned hash names.
+func TestCheckpointImageGolden(t *testing.T) {
+	builds := map[string]func() *System{}
+	for name, cfg := range checkpointTestConfigs() {
+		builds[name] = func() *System { return warmSystem(cfg, []workload.Spec{workload.WebSearch()}) }
+	}
+	builds["scenario-SILO-4"] = func() *System {
+		cfg := SILOConfig(4)
+		cfg.Scale = 256
+		sys := NewSystemFromSources(cfg, scenarioSources(cfg))
+		sys.Prewarm()
+		sys.WarmFunctional(diffWarmInstr)
+		return sys
+	}
+	dir := t.TempDir()
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".ckpt")
+			if err := checkpoint.Save(path, "golden", "{}", build().Checkpoint); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(img)
+			if got := hex.EncodeToString(sum[:]); got != imageGolden[name] {
+				t.Errorf("image of %d bytes has sha256 %s, pinned %s: a layout change needs a checkpoint.FormatVersion bump",
+					len(img), got, imageGolden[name])
+			}
+		})
+	}
+}
+
+// fuzzConfigs are FuzzCheckpointRestore's restore targets, one per
+// hierarchy family, each small enough that its warmed image is about
+// 12 KB.
+func fuzzConfigs() []Config {
+	base, silo := BaselineConfig(4), SILOConfig(4)
+	base.Scale, silo.Scale = 256, 65536
+	return []Config{base, silo}
+}
+
+// FuzzCheckpointRestore feeds arbitrary bytes to the restore path: each
+// input is written as a checkpoint file, opened, and restored into both
+// fuzzConfigs systems. Every restore must end in an error or in a system
+// whose invariants hold, and none may panic. The seeds are the warmed
+// images of both configs.
+func FuzzCheckpointRestore(f *testing.F) {
+	specs := []workload.Spec{workload.WebSearch()}
+	dir := f.TempDir()
+	for i, cfg := range fuzzConfigs() {
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.ckpt", i))
+		if err := checkpoint.Save(path, "fuzz", "{}", warmSystem(cfg, specs).Checkpoint); err != nil {
+			f.Fatal(err)
+		}
+		r, err := checkpoint.Open(path, "fuzz")
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, err = NewSystemFromCheckpoint(cfg, specs, r)
+		r.Close()
+		if err != nil {
+			f.Fatalf("seed %d does not restore: %v", i, err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	path := filepath.Join(dir, "input.ckpt")
+	f.Fuzz(func(t *testing.T, img []byte) {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range fuzzConfigs() {
+			r, err := checkpoint.Open(path, "")
+			if err != nil {
+				return // the header alone is rejected, whatever the config
+			}
+			sys, err := NewSystemFromCheckpoint(cfg, specs, r)
+			r.Close()
+			if err != nil {
+				continue
+			}
+			if msg := sys.CheckInvariants(); msg != "" {
+				t.Fatalf("%v restored with broken invariants: %s", cfg.Kind, msg)
+			}
+		}
+	})
 }

@@ -61,7 +61,7 @@ func cacheImage(s *System) []byte {
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
 	for _, arrs := range levels {
-		snapshotArrays(w, "level", arrs)
+		checkpointArrays(checkpoint.NewEncoder(w), "level", arrs)
 	}
 	if err := w.Finish(); err != nil {
 		panic(err)

@@ -35,10 +35,9 @@ type hierarchy interface {
 	reserve(n int)
 	// check validates internal invariants, returning "" when healthy.
 	check() string
-	// snapshot/restore serialize the hierarchy's mutable state through
-	// the per-component checkpoint seams (checkpoint.go, DESIGN.md §11).
-	snapshot(w *checkpoint.Writer)
-	restore(r *checkpoint.Reader) error
+	// checkpoint walks the hierarchy's mutable state through the
+	// per-component checkpoint walks (checkpoint.go, DESIGN.md §11).
+	checkpoint(c *checkpoint.Codec)
 }
 
 // System is one simulated machine: cores with workload streams over a

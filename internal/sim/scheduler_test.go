@@ -5,20 +5,15 @@ import (
 	"testing/quick"
 )
 
-// schedulerKinds are every implementation the differential tests compare.
-var schedulerKinds = []SchedulerKind{CalendarQueue, BinaryHeap}
+// heapEngine returns an engine on the reference binary heap.
+func heapEngine() *Engine { return &Engine{sched: newEventHeap()} }
 
-func TestSchedulerKindString(t *testing.T) {
-	if CalendarQueue.String() != "calendar-queue" || BinaryHeap.String() != "binary-heap" {
-		t.Fatalf("kind names: %q %q", CalendarQueue, BinaryHeap)
-	}
-	if _, ok := NewEngine().scheduler().(*calendarQueue); !ok {
-		t.Fatalf("default scheduler is %T, want the calendar queue", NewEngine().scheduler())
-	}
-	if _, ok := NewEngineWithScheduler(BinaryHeap).scheduler().(*eventHeap); !ok {
-		t.Fatal("NewEngineWithScheduler ignored the kind")
-	}
-}
+// schedulerKinds are the engines the differential tests compare: the
+// production calendar queue and the reference heap.
+var schedulerKinds = []struct {
+	name string
+	new  func() *Engine
+}{{"calendar-queue", NewEngine}, {"binary-heap", heapEngine}}
 
 // trace is one engine's observable execution record.
 type trace struct {
@@ -97,8 +92,8 @@ func driveTrace(e *Engine, seed uint64) trace {
 // must execute the exact event sequence the reference heap executes.
 func TestSchedulerDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
-		ref := driveTrace(NewEngineWithScheduler(BinaryHeap), seed)
-		got := driveTrace(NewEngineWithScheduler(CalendarQueue), seed)
+		ref := driveTrace(heapEngine(), seed)
+		got := driveTrace(NewEngine(), seed)
 		if got.executed != ref.executed || got.now != ref.now {
 			t.Fatalf("seed %d: executed/now = %d/%d, reference %d/%d",
 				seed, got.executed, got.now, ref.executed, ref.now)
@@ -122,8 +117,7 @@ func TestSchedulerDifferentialProperty(t *testing.T) {
 		if len(delays) > 400 {
 			delays = delays[:400]
 		}
-		run := func(kind SchedulerKind) []traceRec {
-			e := NewEngineWithScheduler(kind)
+		run := func(e *Engine) []traceRec {
 			var recs []traceRec
 			li := 0
 			for i, d := range delays {
@@ -139,7 +133,7 @@ func TestSchedulerDifferentialProperty(t *testing.T) {
 			e.RunAll()
 			return recs
 		}
-		a, b := run(BinaryHeap), run(CalendarQueue)
+		a, b := run(heapEngine()), run(NewEngine())
 		if len(a) != len(b) || len(a) != len(delays) {
 			return false
 		}
@@ -156,10 +150,14 @@ func TestSchedulerDifferentialProperty(t *testing.T) {
 }
 
 // The ordering unit tests from engine_test.go, replayed on every kind so
-// the reference heap cannot silently rot.
+// the reference heap cannot silently rot; the engine NewEngine returns
+// runs on the calendar queue.
 func TestSchedulerKindsOrdering(t *testing.T) {
+	if _, ok := NewEngine().scheduler().(*calendarQueue); !ok {
+		t.Fatalf("default scheduler is %T, want the calendar queue", NewEngine().scheduler())
+	}
 	for _, kind := range schedulerKinds {
-		e := NewEngineWithScheduler(kind)
+		e := kind.new()
 		var order []int
 		e.Schedule(10, func() { order = append(order, 2) })
 		e.Schedule(5, func() { order = append(order, 1) })
@@ -170,15 +168,15 @@ func TestSchedulerKindsOrdering(t *testing.T) {
 		e.Schedule(5+calendarWindow*3, func() { order = append(order, 53) })
 		e.RunAll()
 		if len(order) != 53 {
-			t.Fatalf("%v: executed %d events, want 53", kind, len(order))
+			t.Fatalf("%s: executed %d events, want 53", kind.name, len(order))
 		}
 		for i, v := range order {
 			if v != i+1 {
-				t.Fatalf("%v: order[%d] = %d, want %d", kind, i, v, i+1)
+				t.Fatalf("%s: order[%d] = %d, want %d", kind.name, i, v, i+1)
 			}
 		}
 		if e.Pending() != 0 {
-			t.Fatalf("%v: %d pending after RunAll", kind, e.Pending())
+			t.Fatalf("%s: %d pending after RunAll", kind.name, e.Pending())
 		}
 	}
 }
@@ -189,24 +187,24 @@ func TestSchedulerKindsOrdering(t *testing.T) {
 // queue's "never settle past limit" rule.
 func TestCalendarRunLimitThenEarlierSchedule(t *testing.T) {
 	for _, kind := range schedulerKinds {
-		e := NewEngineWithScheduler(kind)
+		e := kind.new()
 		var order []Cycle
 		log := func() { order = append(order, e.Now()) }
 		e.At(100, log)
 		e.At(100+calendarWindow*4, log) // far future: parks in overflow
 		e.Run(300)                      // pops 100; must not commit the window to the far event
 		if e.Now() != 300 {
-			t.Fatalf("%v: Now = %d after Run(300), want 300", kind, e.Now())
+			t.Fatalf("%s: Now = %d after Run(300), want 300", kind.name, e.Now())
 		}
 		e.At(350, log) // between the limit and the far-future event
 		e.RunAll()
 		want := []Cycle{100, 350, 100 + calendarWindow*4}
 		if len(order) != len(want) {
-			t.Fatalf("%v: executed %v, want %v", kind, order, want)
+			t.Fatalf("%s: executed %v, want %v", kind.name, order, want)
 		}
 		for i := range want {
 			if order[i] != want[i] {
-				t.Fatalf("%v: executed %v, want %v", kind, order, want)
+				t.Fatalf("%s: executed %v, want %v", kind.name, order, want)
 			}
 		}
 	}
@@ -215,8 +213,7 @@ func TestCalendarRunLimitThenEarlierSchedule(t *testing.T) {
 // benchScheduler measures the steady-state schedule+dispatch cost of the
 // simulator's dominant pattern: short completion delays with a stable
 // population of in-flight events.
-func benchScheduler(b *testing.B, kind SchedulerKind, farEvery int) {
-	e := NewEngineWithScheduler(kind)
+func benchScheduler(b *testing.B, e *Engine, farEvery int) {
 	fn := func(uint64) {}
 	for i := 0; i < 512; i++ {
 		e.ScheduleArg(Cycle(i%48+1), fn, 0)
@@ -232,7 +229,7 @@ func benchScheduler(b *testing.B, kind SchedulerKind, farEvery int) {
 	}
 }
 
-func BenchmarkSchedulerCalendarShortDelays(b *testing.B) { benchScheduler(b, CalendarQueue, 0) }
-func BenchmarkSchedulerHeapShortDelays(b *testing.B)     { benchScheduler(b, BinaryHeap, 0) }
-func BenchmarkSchedulerCalendarMixedDelays(b *testing.B) { benchScheduler(b, CalendarQueue, 16) }
-func BenchmarkSchedulerHeapMixedDelays(b *testing.B)     { benchScheduler(b, BinaryHeap, 16) }
+func BenchmarkSchedulerCalendarShortDelays(b *testing.B) { benchScheduler(b, NewEngine(), 0) }
+func BenchmarkSchedulerHeapShortDelays(b *testing.B)     { benchScheduler(b, heapEngine(), 0) }
+func BenchmarkSchedulerCalendarMixedDelays(b *testing.B) { benchScheduler(b, NewEngine(), 16) }
+func BenchmarkSchedulerHeapMixedDelays(b *testing.B)     { benchScheduler(b, heapEngine(), 16) }

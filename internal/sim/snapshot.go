@@ -1,44 +1,21 @@
 package sim
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// Snapshot serializes the engine clock and event counters. Checkpoints
-// are cut between simulation phases, when no events are pending — a
+// Checkpoint walks the engine clock and event counters. Checkpoints are
+// cut between simulation phases, when no events are pending — a
 // calendar queue full of scheduled closures cannot be serialized — so
-// Snapshot refuses a busy engine via the sticky writer error.
-func (e *Engine) Snapshot(w *checkpoint.Writer) {
-	w.Section("sim.Engine")
-	w.Bool(e.Pending() == 0)
-	w.U64(uint64(e.now))
-	w.U64(e.seq)
-	w.U64(e.nEvts)
+// the walk fails on a busy engine in either direction, and the recorded
+// quiescent flag is shape.
+func (e *Engine) Checkpoint(c *checkpoint.Codec) {
+	c.Section("sim.Engine")
+	quiescent := e.Pending() == 0
+	c.Check(quiescent, "sim: engine has %d pending events", e.Pending())
+	checkpoint.Shape(c, "sim.Engine quiescent", quiescent, checkpoint.Bool)
+	checkpoint.Uint(c, &e.now)
+	checkpoint.Uint(c, &e.seq)
+	checkpoint.Uint(c, &e.nEvts)
 }
 
-// Restore overwrites a freshly constructed engine. Both the snapshotted
-// engine and the restore target must be quiescent (no pending events).
-func (e *Engine) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("sim.Engine"); err != nil {
-		return err
-	}
-	quiescent := r.Bool()
-	now := Cycle(r.U64())
-	seq := r.U64()
-	nEvts := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !quiescent {
-		return fmt.Errorf("sim: checkpoint captured an engine with pending events")
-	}
-	if e.Pending() != 0 {
-		return fmt.Errorf("sim: restore target engine has %d pending events", e.Pending())
-	}
-	e.now = now
-	e.seq = seq
-	e.nEvts = nEvts
-	return nil
-}
+// Checkpoint walks the generator state.
+func (r *RNG) Checkpoint(c *checkpoint.Codec) { checkpoint.Uint(c, &r.state) }

@@ -302,45 +302,22 @@ func (p *Phased) Footprint() []Region {
 	return regions
 }
 
-// Snapshot serializes the phase scheduler then the inner stream. The
-// phase list itself is rebuilt by the constructor (it is part of the
-// checkpoint key's identity); only its length and the offset are
-// recorded as shape cross-checks.
-func (p *Phased) Snapshot(w *checkpoint.Writer) {
-	w.Section("workload.Phased")
-	w.I64(int64(len(p.phases)))
-	w.U64(p.offset)
-	w.I64(int64(p.idx))
-	w.U64(p.remaining)
-	w.U64(p.rng.State())
-	p.inner.Snapshot(w)
-}
-
-// Restore overwrites a freshly constructed Phased's mutable state. The
-// inner stream is retuned to the snapshotted phase before its own
-// restore, so cursors land against the footprints they were cut with.
-func (p *Phased) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("workload.Phased"); err != nil {
-		return err
+// Checkpoint walks the phase scheduler then the inner stream. The phase
+// list itself is rebuilt by the constructor (it is part of the
+// checkpoint key's identity); its length and the offset are shape. A
+// decode retunes the inner stream to the recorded phase before walking
+// it, so its cursors land against the footprints they were cut with.
+func (p *Phased) Checkpoint(c *checkpoint.Codec) {
+	c.Section("workload.Phased")
+	checkpoint.Shape(c, "workload.Phased phase count", len(p.phases), checkpoint.Int)
+	checkpoint.Shape(c, "workload.Phased offset", p.offset, checkpoint.Uint)
+	checkpoint.Int(c, &p.idx)
+	c.Check(p.idx >= 0 && p.idx < len(p.phases),
+		"workload: checkpoint phase index %d outside [0,%d)", p.idx, len(p.phases))
+	checkpoint.Uint(c, &p.remaining)
+	p.rng.Checkpoint(c)
+	if c.Decoding() && c.Err() == nil {
+		p.inner.Retune(p.phases[p.idx].Spec)
 	}
-	nphases := int(r.I64())
-	offset := r.U64()
-	idx := int(r.I64())
-	remaining := r.U64()
-	rngState := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nphases != len(p.phases) || offset != p.offset {
-		return fmt.Errorf("workload: checkpoint phased source (%d phases, offset %#x) restored into (%d phases, offset %#x)",
-			nphases, offset, len(p.phases), p.offset)
-	}
-	if idx < 0 || idx >= len(p.phases) {
-		return fmt.Errorf("workload: checkpoint phase index %d outside [0,%d)", idx, len(p.phases))
-	}
-	p.idx = idx
-	p.remaining = remaining
-	p.rng.SetState(rngState)
-	p.inner.Retune(p.phases[idx].Spec)
-	return p.inner.Restore(r)
+	p.inner.Checkpoint(c)
 }

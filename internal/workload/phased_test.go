@@ -192,13 +192,17 @@ func TestPhasedSnapshotRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
-	p.Snapshot(w)
+	p.Checkpoint(checkpoint.NewEncoder(w))
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	restore := func(q *Phased) error {
+		r := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
+		q.Checkpoint(checkpoint.NewDecoder(r))
+		return r.Finish()
+	}
 	q := NewPhased(testPhases(), 2, 4, 16, 11, 3, GroupOffset(1))
-	r := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
-	if err := q.Restore(r); err != nil {
+	if err := restore(q); err != nil {
 		t.Fatal(err)
 	}
 	var a, b Op
@@ -211,9 +215,7 @@ func TestPhasedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Shape mismatches must be detected, not silently absorbed.
-	wrong := NewPhased(testPhases(), 2, 4, 16, 11, 3, GroupOffset(2))
-	r = checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
-	if err := wrong.Restore(r); err == nil {
+	if err := restore(NewPhased(testPhases(), 2, 4, 16, 11, 3, GroupOffset(2))); err == nil {
 		t.Fatal("restore into a different group offset succeeded")
 	}
 }

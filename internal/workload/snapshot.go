@@ -1,59 +1,24 @@
 package workload
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-	"repro/internal/mem"
-)
-
-// Snapshot serializes the stream's mutable generator state: the
-// xorshift RNG, the PC walk, the scan/cold cursors and the generation
-// counter. Everything else — scaled footprints, probability thresholds,
-// divisor reciprocals — is a pure function of (Spec, core, ncores,
-// scale, seed) and is rebuilt by NewStream on the restore side; the
-// content-hash checkpoint key covers those inputs, so a restored stream
-// continues the exact op sequence a from-scratch warm-up would produce.
-func (s *Stream) Snapshot(w *checkpoint.Writer) {
-	w.Section("workload.Stream")
-	w.I64(int64(s.core))
-	w.U64(s.rng.State())
-	w.U64(uint64(s.pc))
-	w.U64(uint64(s.lastILine))
-	w.Bool(s.havePC)
-	w.Bool(s.jumped)
-	w.I64(s.scanCursor)
-	w.I64(s.coldCursor)
-	w.U64(s.generated)
-}
-
-// Restore overwrites a freshly constructed stream's mutable state.
-func (s *Stream) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("workload.Stream"); err != nil {
-		return err
-	}
-	core := int(r.I64())
-	rngState := r.U64()
-	pc := mem.Addr(r.U64())
-	lastILine := mem.LineAddr(r.U64())
-	havePC := r.Bool()
-	jumped := r.Bool()
-	scanCursor := r.I64()
-	coldCursor := r.I64()
-	generated := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if core != s.core {
-		return fmt.Errorf("workload: checkpoint stream for core %d restored into core %d", core, s.core)
-	}
-	s.rng.SetState(rngState)
-	s.pc = pc
-	s.lastILine = lastILine
-	s.havePC = havePC
-	s.jumped = jumped
-	s.scanCursor = scanCursor
-	s.coldCursor = coldCursor
-	s.generated = generated
-	return nil
+// Checkpoint walks the stream's mutable generator state: the xorshift
+// RNG, the PC walk, the scan/cold cursors and the generation counter.
+// Everything else — scaled footprints, probability thresholds, divisor
+// reciprocals — is a pure function of (Spec, core, ncores, scale, seed)
+// and is rebuilt by NewStream on the restore side; the content-hash
+// checkpoint key covers those inputs, so a restored stream continues the
+// exact op sequence a from-scratch warm-up would produce. The core id is
+// shape.
+func (s *Stream) Checkpoint(c *checkpoint.Codec) {
+	c.Section("workload.Stream")
+	checkpoint.Shape(c, "workload.Stream core", s.core, checkpoint.Int)
+	s.rng.Checkpoint(c)
+	checkpoint.Uint(c, &s.pc)
+	checkpoint.Uint(c, &s.lastILine)
+	checkpoint.Bool(c, &s.havePC)
+	checkpoint.Bool(c, &s.jumped)
+	checkpoint.Int(c, &s.scanCursor)
+	checkpoint.Int(c, &s.coldCursor)
+	checkpoint.Uint(c, &s.generated)
 }

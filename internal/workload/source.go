@@ -29,11 +29,9 @@ type Source interface {
 	// order a prewarm walk visits them (nil for sources with none to
 	// declare, e.g. trace replay). The slice is the caller's.
 	Footprint() []Region
-	// Snapshot/Restore serialize the source's mutable state through the
-	// checkpoint seams (DESIGN.md §11). Restore must verify it is fed a
-	// snapshot of the same source shape.
-	Snapshot(w *checkpoint.Writer)
-	Restore(r *checkpoint.Reader) error
+	// Checkpoint walks the source's mutable state (DESIGN.md §11); a
+	// decode must fail on a checkpoint of another source shape.
+	Checkpoint(c *checkpoint.Codec)
 }
 
 var _ Source = (*Stream)(nil)

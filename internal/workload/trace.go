@@ -228,37 +228,15 @@ func (t *TraceSource) NextBatch(dst []Op) int {
 // warms organically through WarmFunctional.
 func (t *TraceSource) Footprint() []Region { return nil }
 
-// Snapshot serializes the replay position plus shape cross-checks.
-func (t *TraceSource) Snapshot(w *checkpoint.Writer) {
-	w.Section("workload.Trace")
-	w.String(t.name)
-	w.I64(int64(len(t.ops)))
-	w.U64(t.offset)
-	w.I64(int64(t.cursor))
-	w.U64(t.generated)
-}
-
-// Restore overwrites the replay position, verifying the trace shape.
-func (t *TraceSource) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("workload.Trace"); err != nil {
-		return err
-	}
-	name := r.String()
-	nops := int(r.I64())
-	offset := r.U64()
-	cursor := int(r.I64())
-	generated := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if name != t.name || nops != len(t.ops) || offset != t.offset {
-		return fmt.Errorf("workload: checkpoint trace (%q, %d ops, offset %#x) restored into (%q, %d ops, offset %#x)",
-			name, nops, offset, t.name, len(t.ops), t.offset)
-	}
-	if cursor < 0 || cursor >= len(t.ops) {
-		return fmt.Errorf("workload: checkpoint trace cursor %d outside [0,%d)", cursor, len(t.ops))
-	}
-	t.cursor = cursor
-	t.generated = generated
-	return nil
+// Checkpoint walks the replay position; the trace's name, length and
+// offset are shape.
+func (t *TraceSource) Checkpoint(c *checkpoint.Codec) {
+	c.Section("workload.Trace")
+	checkpoint.Shape(c, "workload.Trace name", t.name, checkpoint.String)
+	checkpoint.Shape(c, "workload.Trace length", len(t.ops), checkpoint.Int)
+	checkpoint.Shape(c, "workload.Trace offset", t.offset, checkpoint.Uint)
+	checkpoint.Int(c, &t.cursor)
+	c.Check(t.cursor >= 0 && t.cursor < len(t.ops),
+		"workload: checkpoint trace cursor %d outside [0,%d)", t.cursor, len(t.ops))
+	checkpoint.Uint(c, &t.generated)
 }
