@@ -14,14 +14,18 @@
 //	payload  section-framed component state (each component's walk)
 //	crc      uint32 LE                   (CRC-32C over key, meta and payload)
 //
-// Every scalar is little-endian. Slices are a uint64 length followed by
-// the elements. Each component describes its payload once, as a walk
-// over a Codec (codec.go): the same walk encodes through a Writer and
-// decodes through a Reader. Fixed-size slabs (cache arrays, DRAM-cache
-// frames, timers) are decoded in place into the component that was
-// built from the live Config, so a restore allocates only the slabs
-// whose length is data (the coherence line table). Shape fields
-// (geometry, ids, flags) are recorded and compared, never overwritten.
+// Every scalar is little-endian. Each component describes its payload
+// once, as a walk over a Codec (codec.go): the same walk encodes through
+// a Writer and decodes through a Reader. Every slab is a uint64 element
+// count followed by its body. A fixed-size slab (cache arrays, DRAM-cache
+// frames, timers) is sparse: each chunk of up to 4096 elements is a
+// presence mask, one bit per element in little-endian uint64 words,
+// followed by only the chunk's nonzero elements. It is decoded in place
+// into the all-zero slab of the component that was built from the live
+// Config, so a restore writes only live elements and allocates only the
+// slabs whose length is data (the coherence line table). Those stay
+// dense: every element, in order. Shape fields (geometry, ids, flags)
+// are recorded and compared, never overwritten.
 // Sections are length-prefixed names the walk writes and then verifies,
 // so a decoder that drifts out of sync fails on the next section check
 // instead of silently misinterpreting bytes. The trailing CRC-32C
@@ -59,11 +63,11 @@ const Magic = "SILOCKPT"
 // FormatVersion is bumped whenever any component's walk changes the
 // byte layout; a mismatch makes Open fail and the caller rebuild from
 // scratch. core.TestCheckpointImageGolden pins the layout.
-const FormatVersion = 3
+const FormatVersion = 4
 
 // FormatTag names the format generation inside content-hash keys, so
 // key derivation itself is versioned alongside the byte layout.
-const FormatTag = "ckpt-v3"
+const FormatTag = "ckpt-v4"
 
 // maxSliceLen caps slice lengths read before the CRC has been verified
 // when the source's size is unknown (a Reader over a plain stream). It
@@ -131,9 +135,16 @@ type Word interface{ ~uint8 | ~uint32 | ~uint64 }
 // wordBytes returns T's width in bytes: 1, 4 or 8.
 func wordBytes[T Word]() int { return bits.Len64(uint64(^T(0))) / 8 }
 
-const bulkBytes = 64 << 10 // staging buffer per bulk flush or fill
+// bulkBytes sizes the staging buffer of each bulk flush or fill. It
+// holds a whole sparse chunk (mask plus chunkElems 8-byte elements) with
+// the 8 bytes of slack its word-at-a-time stores and loads run into.
+const bulkBytes = 64 << 10
 
-// writeSlab writes a length-prefixed slab in bulk chunks.
+// chunkElems is the element count of a sparse slab chunk; its presence
+// mask is chunkElems/64 words.
+const chunkElems = 4096
+
+// writeSlab writes a length-prefixed dense slab in bulk chunks.
 func writeSlab[T Word](w *Writer, s []T) {
 	w.word(uint64(len(s)), 8)
 	size := wordBytes[T]()
@@ -158,6 +169,34 @@ func writeSlab[T Word](w *Writer, s []T) {
 			}
 		}
 		w.write(b)
+		s = s[n:]
+	}
+}
+
+// writeSparse writes a length-prefixed sparse slab: per chunk of up to
+// chunkElems elements, ceil(n/64) little-endian mask words, whose bit
+// i%64 of word i/64 marks element i nonzero, then the nonzero elements
+// in order at their own width.
+func writeSparse[T Word](w *Writer, s []T) {
+	w.word(uint64(len(s)), 8)
+	size := wordBytes[T]()
+	if w.buf == nil {
+		w.buf = make([]byte, bulkBytes)
+	}
+	for len(s) > 0 {
+		n := min(len(s), chunkElems)
+		maskBytes := (n + 63) / 64 * 8
+		mask := w.buf[:maskBytes]
+		clear(mask)
+		end := maskBytes
+		for i, v := range s[:n] {
+			if v != 0 {
+				mask[i/8] |= 1 << (i % 8) // bit i%64 of little-endian word i/64
+				binary.LittleEndian.PutUint64(w.buf[end:], uint64(v))
+				end += size
+			}
+		}
+		w.write(w.buf[:end])
 		s = s[n:]
 	}
 }
@@ -276,12 +315,16 @@ func (r *Reader) readString() string {
 	return string(p)
 }
 
-// readSlab decodes a slab written by writeSlab into dst in place. The
-// stored length must equal len(dst) — dst was built from the live
-// Config, so any other length means the checkpoint was cut for another
-// geometry — and a mismatch sets the sticky error without allocating.
-// On error dst may hold a partial decode; the caller discards it.
-func readSlab[T Word](r *Reader, dst []T) {
+// readSparse decodes a slab written by writeSparse into dst in place,
+// writing only its nonzero elements: dst must hold all zeros. The stored
+// length must equal len(dst) — dst was built from the live Config, so
+// any other length means the checkpoint was cut for another geometry —
+// and a mismatch sets the sticky error without allocating. Only the
+// canonical encoding decodes: a mask bit past the slab's end, or a
+// marked element that is zero, sets the sticky error too, so each slab
+// has exactly one image. On error dst may hold a partial decode; the
+// caller discards it.
+func readSparse[T Word](r *Reader, dst []T) {
 	n := r.word(8)
 	if r.err != nil {
 		return
@@ -290,10 +333,49 @@ func readSlab[T Word](r *Reader, dst []T) {
 		r.fail(fmt.Errorf("checkpoint: slab of %d elements, want %d", n, len(dst)))
 		return
 	}
-	decodeSlab(r, dst)
+	size := wordBytes[T]()
+	if r.buf == nil {
+		r.buf = make([]byte, bulkBytes)
+	}
+	for base := 0; base < len(dst); base += chunkElems {
+		chunk := dst[base:min(len(dst), base+chunkElems)]
+		words := (len(chunk) + 63) / 64
+		maskBytes := words * 8
+		if !r.read(r.buf[:maskBytes]) {
+			return
+		}
+		live := 0
+		for j := range words {
+			live += bits.OnesCount64(binary.LittleEndian.Uint64(r.buf[8*j:]))
+		}
+		if tail := len(chunk) % 64; tail != 0 {
+			if past := binary.LittleEndian.Uint64(r.buf[maskBytes-8:]) >> tail; past != 0 {
+				r.fail(fmt.Errorf("checkpoint: slab mask marks element %d past its end %d",
+					base+len(chunk)+bits.TrailingZeros64(past), len(dst)))
+				return
+			}
+		}
+		if !r.read(r.buf[maskBytes : maskBytes+live*size]) {
+			return
+		}
+		at := maskBytes
+		for j := range words {
+			for m := binary.LittleEndian.Uint64(r.buf[8*j:]); m != 0; m &= m - 1 {
+				i := 64*j + bits.TrailingZeros64(m)
+				v := T(binary.LittleEndian.Uint64(r.buf[at:])) // truncates to T's width
+				if v == 0 {
+					r.fail(fmt.Errorf("checkpoint: slab element %d marked live but zero", base+i))
+					return
+				}
+				chunk[i] = v
+				at += size
+			}
+		}
+	}
 }
 
-// decodeSlab fills dst from bulk reads, reporting success.
+// decodeSlab fills dst from bulk reads of a dense slab body, reporting
+// success.
 func decodeSlab[T Word](r *Reader, dst []T) bool {
 	size := wordBytes[T]()
 	if r.buf == nil {

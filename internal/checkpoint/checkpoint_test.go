@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -21,9 +22,9 @@ type testFields struct {
 	yes    bool
 	no     bool
 	s      string
-	u8s    []uint8
-	u32s   []uint32
-	u64s   []uint64
+	u8s    [][]uint8 // fixed-size slabs: see testSlabs
+	u32s   [][]uint32
+	u64s   [][]uint64
 	cycles []cycle
 	data   []uint64
 	empty  []uint64
@@ -41,17 +42,74 @@ func (f *testFields) walk(c *Codec) {
 	Bool(c, &f.yes)
 	Bool(c, &f.no)
 	String(c, &f.s)
-	Slab(c, f.u8s)
-	Slab(c, f.u32s)
-	Slab(c, f.u64s)
+	for _, s := range f.u8s {
+		Slab(c, s)
+	}
+	for _, s := range f.u32s {
+		Slab(c, s)
+	}
+	for _, s := range f.u64s {
+		Slab(c, s)
+	}
 	Slab(c, f.cycles)
 	DataSlab(c, &f.data)
 	DataSlab(c, &f.empty)
 }
 
+// liveAt marks a mixed slab's nonzero elements. Chunks (4096 elements)
+// cycle through sparse (every 7th element), full and empty, so masks
+// hold partial, all-ones and all-zero words.
+func liveAt(i int) bool {
+	switch i / chunkElems % 3 {
+	case 0:
+		return i%7 == 0
+	case 1:
+		return true
+	}
+	return false
+}
+
+func noneLive(int) bool { return false }
+func allLive(int) bool  { return true }
+
+// testSlab returns n elements, nonzero where live says: odd multiples
+// of mul.
+func testSlab[T Word](n int, mul T, live func(int) bool) []T {
+	s := make([]T, n)
+	for i := range s {
+		if live(i) {
+			s[i] = T(i)*mul | 1
+		}
+	}
+	return s
+}
+
+// testSlabs returns an all-zero, an all-live and a mixed slab at each of
+// two lengths, neither a multiple of 64 nor of 4096: one spans several
+// chunks and bulk buffers, one is shorter than a mask word.
+func testSlabs[T Word](long int, mul T) [][]T {
+	var out [][]T
+	for _, n := range []int{long, 63} {
+		for _, live := range []func(int) bool{noneLive, allLive, liveAt} {
+			out = append(out, testSlab(n, mul, live))
+		}
+	}
+	return out
+}
+
+// zerosLike returns all-zero slabs of the lengths in ss: a receiver as a
+// freshly built component holds them.
+func zerosLike[T Word](ss [][]T) [][]T {
+	out := make([][]T, len(ss))
+	for i, s := range ss {
+		out[i] = make([]T, len(s))
+	}
+	return out
+}
+
 // encode runs walk through an encoder and returns the payload with its
 // trailing CRC.
-func encode(t *testing.T, walk func(*Codec)) []byte {
+func encode(t testing.TB, walk func(*Codec)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -64,26 +122,19 @@ func encode(t *testing.T, walk func(*Codec)) []byte {
 
 // TestRoundTripScalarsAndSlices: one walk encodes every field kind and
 // decodes it back into a receiver built with the same slab geometry,
-// and the scalars sit at their documented widths.
+// and the scalars sit at their documented widths. Fixed-size slabs of
+// each width come all zero, all live and mixed, at lengths off the
+// mask-word and chunk boundaries.
 func TestRoundTripScalarsAndSlices(t *testing.T) {
 	want := testFields{
 		u64: 0xDEADBEEFCAFEF00D, u32: 0x1234ABCD, u8: 0x7F, i64: -42, n: 1 << 40,
 		yes: true, s: "hello, checkpoint",
-		u8s:    make([]uint8, 70_000), // every slab spans multiple bulk chunks
-		u32s:   make([]uint32, 20_001),
-		u64s:   make([]uint64, 10_000),
+		u8s:    testSlabs[uint8](70_001, 131), // the long slabs span several bulk buffers
+		u32s:   testSlabs[uint32](20_001, 2654435761),
+		u64s:   testSlabs[uint64](12_345, 0x9E3779B97F4A7C15),
 		cycles: []cycle{1, 1 << 40, 1<<64 - 1},
 	}
-	for i := range want.u8s {
-		want.u8s[i] = uint8(i * 131)
-	}
-	for i := range want.u32s {
-		want.u32s[i] = uint32(i) * 2654435761
-	}
-	for i := range want.u64s {
-		want.u64s[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	want.data = append([]uint64(nil), want.u64s...)
+	want.data = testSlab[uint64](10_000, 0x9E3779B97F4A7C15, liveAt)
 	payload := encode(t, want.walk)
 
 	// Section "test" (8-byte length + 4 bytes), then the scalars:
@@ -103,9 +154,9 @@ func TestRoundTripScalarsAndSlices(t *testing.T) {
 	}
 
 	got := testFields{
-		u8s:    make([]uint8, len(want.u8s)),
-		u32s:   make([]uint32, len(want.u32s)),
-		u64s:   make([]uint64, len(want.u64s)),
+		u8s:    zerosLike(want.u8s),
+		u32s:   zerosLike(want.u32s),
+		u64s:   zerosLike(want.u64s),
 		cycles: make([]cycle, len(want.cycles)),
 		empty:  []uint64{5}, // an empty recorded slab decodes as nil
 	}
@@ -359,4 +410,159 @@ func TestReadSlabLengthMismatch(t *testing.T) {
 	check("uint8", func(c *Codec) { Slab(c, make([]uint8, 4)) })
 	check("uint32", func(c *Codec) { Slab(c, make([]uint32, 2)) })
 	check("uint64", func(c *Codec) { Slab(c, make([]uint64, 0)) })
+}
+
+// TestSlabLayout pins the sparse body byte for byte: the element count,
+// one mask word per 64 elements of the chunk, then the nonzero elements
+// at their own width; the second chunk of a 4097-element slab has one
+// mask word.
+func TestSlabLayout(t *testing.T) {
+	payload := encode(t, func(c *Codec) {
+		Slab(c, []uint32{0, 7, 0, 0x0A0B0C0D})
+		big := make([]uint8, chunkElems+1)
+		big[64], big[chunkElems] = 5, 6
+		Slab(c, big)
+	})
+	want := []byte{
+		4, 0, 0, 0, 0, 0, 0, 0, // 4 elements
+		0x0A, 0, 0, 0, 0, 0, 0, 0, // elements 1 and 3 live
+		7, 0, 0, 0, 0x0D, 0x0C, 0x0B, 0x0A,
+		1, 0x10, 0, 0, 0, 0, 0, 0, // 4097 elements
+	}
+	want = append(want, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0) // word 1, bit 0: element 64
+	want = append(want, make([]byte, 62*8)...)
+	want = append(want, 5)
+	want = append(want, 1, 0, 0, 0, 0, 0, 0, 0, 6) // the 1-element chunk
+	if got := payload[:len(payload)-4]; !bytes.Equal(got, want) {
+		t.Fatalf("sparse slab bytes\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestSlabDecodeWritesOnlyLive: a decode writes the recorded nonzero
+// elements and nothing else, so a receiver's zero elements are never
+// touched — the reason Slab needs an all-zero receiver, and the reason a
+// restore writes only the pages that hold live state.
+func TestSlabDecodeWritesOnlyLive(t *testing.T) {
+	t.Run("uint8", func(t *testing.T) { checkOnlyLive(t, testSlab[uint8](9000, 131, liveAt), 0xAA) })
+	t.Run("uint32", func(t *testing.T) { checkOnlyLive(t, testSlab[uint32](9000, 2654435761, liveAt), 0xAAAAAAAA) })
+	t.Run("uint64", func(t *testing.T) { checkOnlyLive(t, testSlab[uint64](9000, 3, liveAt), 0xAAAAAAAAAAAAAAAA) })
+}
+
+// checkOnlyLive decodes want into a receiver filled with the even
+// sentinel (testSlab's nonzero elements are odd) and checks that every
+// zero position still holds it.
+func checkOnlyLive[T Word](t *testing.T, want []T, sentinel T) {
+	payload := encode(t, func(c *Codec) { Slab(c, want) })
+	got := make([]T, len(want))
+	for i := range got {
+		got[i] = sentinel
+	}
+	c := NewDecoder(NewReader(bytes.NewReader(payload)))
+	Slab(c, got)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if w == 0 && got[i] != sentinel || w != 0 && got[i] != w {
+			t.Fatalf("element %d: got %#x, want %#x (sentinel %#x)", i, got[i], w, sentinel)
+		}
+	}
+}
+
+// TestSlabRejectsNonCanonical: the decoder accepts only the image the
+// encoder writes. A mask bit past the slab's end, a marked element that
+// is zero, and a chunk cut short each set the sticky error.
+func TestSlabRejectsNonCanonical(t *testing.T) {
+	le := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	mixed := encode(t, func(c *Codec) { Slab(c, testSlab[uint64](chunkElems+1, 3, liveAt)) })
+	cases := []struct {
+		name    string
+		payload []byte
+		decode  func(c *Codec)
+		want    string
+	}{
+		{"bit past the end of a short slab", le(63, 1<<63, 9),
+			func(c *Codec) { Slab(c, make([]uint64, 63)) }, "element 63 past its end 63"},
+		{"bit past the end of a 4097-element slab", append(append(le(chunkElems+1), make([]byte, 512)...), le(2, 9)...),
+			func(c *Codec) { Slab(c, make([]uint64, chunkElems+1)) }, "element 4097 past its end 4097"},
+		{"marked zero uint64", le(64, 1<<5, 0),
+			func(c *Codec) { Slab(c, make([]uint64, 64)) }, "element 5 marked live but zero"},
+		{"marked zero uint8", append(le(3, 0b101), 4, 0),
+			func(c *Codec) { Slab(c, make([]uint8, 3)) }, "element 2 marked live but zero"},
+		{"chunk cut inside its mask", mixed[:8+100],
+			func(c *Codec) { Slab(c, make([]uint64, chunkElems+1)) }, "truncated"},
+		{"chunk cut inside its elements", mixed[:8+512+20],
+			func(c *Codec) { Slab(c, make([]uint64, chunkElems+1)) }, "truncated"},
+	}
+	for _, tc := range cases {
+		c := NewDecoder(NewReader(bytes.NewReader(tc.payload)))
+		tc.decode(c)
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want error %q, got %v", tc.name, tc.want, err)
+		}
+		v := uint64(99)
+		if Uint(c, &v); v != 0 || !strings.Contains(c.Err().Error(), tc.want) {
+			t.Fatalf("%s: error not sticky", tc.name)
+		}
+	}
+}
+
+// fuzzSlabLens are FuzzSlab's receiver lengths: empty, shorter than, at
+// and past one mask word, and at and past one chunk.
+var fuzzSlabLens = []int{0, 1, 63, 64, chunkElems, chunkElems + 1}
+
+// FuzzSlab feeds arbitrary slab bodies to Slab decoders of every width
+// and fuzzSlabLens length; the harness prefixes the receiver's length,
+// so every decode reaches the masks. Each decode must fail with an
+// error or yield a slab whose re-encoding is exactly the bytes it
+// consumed — each slab has one image — and none may panic. The seeds
+// are mixed slabs of each width and length.
+func FuzzSlab(f *testing.F) {
+	for _, n := range fuzzSlabLens {
+		for _, seed := range [][]byte{
+			encode(f, func(c *Codec) { Slab(c, testSlab[uint8](n, 131, liveAt)) }),
+			encode(f, func(c *Codec) { Slab(c, testSlab[uint32](n, 2654435761, liveAt)) }),
+			encode(f, func(c *Codec) { Slab(c, testSlab[uint64](n, 3, liveAt)) }),
+		} {
+			f.Add(seed[8 : len(seed)-4]) // the body: no length, no CRC
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, n := range fuzzSlabLens {
+			fuzzSlab[uint8](t, n, body)
+			fuzzSlab[uint32](t, n, body)
+			fuzzSlab[uint64](t, n, body)
+		}
+	})
+}
+
+// fuzzBufs are the bulk buffers every FuzzSlab Reader and Writer
+// shares, so an input costs no 64 KiB allocations; fuzz inputs run one
+// at a time in each worker process.
+var fuzzBufs = [2][]byte{make([]byte, bulkBytes), make([]byte, bulkBytes)}
+
+func fuzzSlab[T Word](t *testing.T, n int, body []byte) {
+	payload := append(binary.LittleEndian.AppendUint64(nil, uint64(n)), body...)
+	src := bytes.NewReader(payload)
+	r := NewReader(src)
+	r.buf = fuzzBufs[0]
+	c := NewDecoder(r)
+	s := make([]T, n)
+	Slab(c, s)
+	if c.Err() != nil {
+		return
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.buf = fuzzBufs[1]
+	Slab(NewEncoder(w), s)
+	if consumed := payload[:len(payload)-src.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+		t.Fatalf("%d-byte slab of %d: decoded from %x, re-encodes as %x", wordBytes[T](), n, consumed, buf.Bytes())
+	}
 }

@@ -113,22 +113,29 @@ func Shape[T comparable](c *Codec, name string, want T, walk func(*Codec, *T)) {
 	c.Check(got == want, "checkpoint: %s %v recorded, receiver has %v", name, got, want)
 }
 
-// Slab walks a fixed-size slab in place. Its length is geometry the
-// receiver was built with, so the decoder fails, without allocating, on
-// a recorded length other than len(s).
+// Slab walks a fixed-size slab in place, sparsely: the encoder writes
+// each chunk of up to 4096 elements as a presence mask followed by only
+// its nonzero elements, and the decoder writes just those elements into
+// s. The receiver's s must therefore hold all zeros, as every slab of a
+// component freshly built from the live Config does. Its length is
+// geometry the receiver was built with, so the decoder fails, without
+// allocating, on a recorded length other than len(s); it also rejects
+// any image but the canonical one (a mask bit past the end, a marked
+// element that is zero).
 func Slab[T Word](c *Codec, s []T) {
 	if c.r == nil {
-		writeSlab(c.w, s)
+		writeSparse(c.w, s)
 	} else {
-		readSlab(c.r, s)
+		readSparse(c.r, s)
 	}
 }
 
 // DataSlab walks a slab whose length is data, not geometry (the
-// coherence line table, sized by how much warm-up filled it). The
-// decoder replaces *p with a slab of the recorded length, once the
-// length has passed the bound of the bytes the source holds; an empty
-// slab decodes as nil.
+// coherence line table, sized by how much warm-up filled it), densely:
+// every element in order. The decoder replaces *p with a slab of the
+// recorded length, once the length has passed the bound of the bytes
+// the source holds (a dense body is what makes that bound hold); an
+// empty slab decodes as nil.
 func DataSlab[T Word](c *Codec, p *[]T) {
 	if c.r == nil {
 		writeSlab(c.w, *p)

@@ -231,15 +231,15 @@ func TestCheckpointRestoreAllocation(t *testing.T) {
 // reordered or resized — must bump checkpoint.FormatVersion, after which
 // these constants are regenerated from the new failure messages.
 var imageGolden = map[string]string{
-	"Baseline-4":      "fd10c35b8675f85d184b8f8e7dafbd1443e558492ad296f9bf95ffd46e640cad",
-	"BaselineDRAM-4":  "e67c6cce1106f92d7acfefa62dfd4e03be5bbe57869272f0030a4023e765e023",
-	"Baseline-32":     "350e390a3ed423936671f1f96e58f00b39c6786f83b78448c102dfbddcfaa08b",
-	"SILO-4":          "c5ac831fafbb445e263cef89cf39d825a812fcc1fe7c7f205dc0e314fb66004b",
-	"SILO-4-L2":       "2b295d1710cd6b5c62854b431f012e825e12d4fe169b129f8ac734dd203892a1",
-	"SILO-32":         "89c2f7560c72318ac175c3fb554c1dd6eaf014c152a4b6c57bf938d2ac526f18",
-	"VaultsShared-4":  "f1e2100920f91ad395c96a0ca6883aafa6486bb32b81e54095c562cf72df4b62",
-	"SILOCO-4":        "5237117668575a48925cb3d2e5318c7dcb0d6255b0d32f0177879c13458ec441",
-	"scenario-SILO-4": "940aef2e7f83260675591b74f8f75c5d07a20c7639b6dde1cbf172e9b276b941",
+	"Baseline-4":      "f69ce5a91fc70abd5970fa9c0a26cbfc13dba01479ef471dc199e5eb095d46f4",
+	"BaselineDRAM-4":  "9486dd50415aa65f3d86e4190e8409c70d92a84c11a02d7d195a7de7c8a7fcfd",
+	"Baseline-32":     "968e19ac2331b5467bb117e3f4436854bf2745cb78ba50c378c36a66105fd249",
+	"SILO-4":          "1749414f329e26fc8257966126ce2db13cd5526d4322df7ed4a97f07f35f0b9d",
+	"SILO-4-L2":       "0010765d0fdc046966ef459cf02c8367cbc9de2cd02fda67fd3de9f0d73f6438",
+	"SILO-32":         "788e0a7290ac902d68e914c400c9582cdf214c3c667e056d5baf4a383b56eeae",
+	"VaultsShared-4":  "93ae89333a621da539624caaa7c9d04d27c98f36ef8640e2cbe9a235da797d19",
+	"SILOCO-4":        "1367f3617a553cdc9421fd8103c59a7ac3530ed42f6339e5bd28d60bdf204f15",
+	"scenario-SILO-4": "81090b10e3e02c6abff47b82f0603ab247c07e3cecce70d9a3ab4e1a1688093f",
 }
 
 // TestCheckpointImageGolden guards the byte format: every

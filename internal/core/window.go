@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -42,6 +44,20 @@ func statsFromDeltas(d []uint64) Stats {
 		Reads: d[4], WritesPrivate: d[5], WritesRWShared: d[6],
 		MemAccesses: d[7], MemWritebacks: d[8], VaultAccesses: d[9], DRAMCacheHits: d[10],
 		Invalidations: d[11], Forwards: d[12], DirAccesses: d[13], Upgrades: d[14],
+	}
+}
+
+// checkAccounting panics unless the LLC accesses split exactly into hit
+// classes (LocalHits+RemoteHits+Misses) and into access types
+// (Reads+WritesPrivate+WritesRWShared). Every LLC path in private.go and
+// shared.go increments one term of each in the same call as
+// LLCAccesses, so both identities hold on every window and only a bug
+// can break them.
+func (s *Stats) checkAccounting() {
+	if s.LocalHits+s.RemoteHits+s.Misses != s.LLCAccesses ||
+		s.Reads+s.WritesPrivate+s.WritesRWShared != s.LLCAccesses {
+		panic(fmt.Sprintf("core: window accounting broken: %d LLC accesses, %d+%d+%d local/remote hits/misses, %d+%d+%d reads/private/RW-shared writes",
+			s.LLCAccesses, s.LocalHits, s.RemoteHits, s.Misses, s.Reads, s.WritesPrivate, s.WritesRWShared))
 	}
 }
 
@@ -109,10 +125,12 @@ func (ws *WindowStream) Next() *Metrics {
 }
 
 // emit converts the current cumulative counters into the just-finished
-// window's Metrics and folds its IPC into the summary.
+// window's Metrics, checks its accounting identities, and folds its IPC
+// into the summary.
 func (ws *WindowStream) emit() *Metrics {
 	delta := ws.em.Emit(ws.cumulative())
 	ws.m.Stats = statsFromDeltas(delta)
+	ws.m.Stats.checkAccounting()
 	ws.m.Retired = 0
 	for i := range ws.m.PerCoreRetired {
 		r := delta[len(statNames)+i]

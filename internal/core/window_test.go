@@ -175,3 +175,26 @@ func TestWindowStreamPanicsOnBadWindow(t *testing.T) {
 	sys := NewSystem(cfg, []workload.Spec{workload.WebSearch()})
 	sys.StreamWindows(0, 0)
 }
+
+// TestWindowAccountingIdentities: the check emit runs on every window
+// accepts a Stats whose LLC accesses split exactly into hit classes and
+// into access types, and panics when either split is off by one.
+func TestWindowAccountingIdentities(t *testing.T) {
+	ok := Stats{LLCAccesses: 10, LocalHits: 5, RemoteHits: 3, Misses: 2, Reads: 6, WritesPrivate: 3, WritesRWShared: 1}
+	ok.checkAccounting()
+	for name, breakIt := range map[string]func(*Stats){
+		"hit classes":  func(s *Stats) { s.Misses++ },
+		"access types": func(s *Stats) { s.Reads-- },
+	} {
+		s := ok
+		breakIt(&s)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s off by one: no panic", name)
+				}
+			}()
+			s.checkAccounting()
+		}()
+	}
+}

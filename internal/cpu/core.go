@@ -269,6 +269,3 @@ func (c *Core) dataDone(tok uint64) {
 		c.resume()
 	}
 }
-
-// Outstanding reports in-flight data misses (for tests).
-func (c *Core) Outstanding() int { return c.outstanding }

@@ -186,8 +186,8 @@ func TestOutstandingNeverExceedsMLP(t *testing.T) {
 	c := New(e, 0, DefaultConfig(), stream, h)
 	c.Start()
 	for i := 0; i < 200000 && e.Step(); i++ {
-		if c.Outstanding() > 3 {
-			t.Fatalf("outstanding %d exceeds MLP 3", c.Outstanding())
+		if c.outstanding > 3 {
+			t.Fatalf("outstanding %d exceeds MLP 3", c.outstanding)
 		}
 	}
 	if c.DataBlocks == 0 {

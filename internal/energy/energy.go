@@ -1,8 +1,8 @@
 // Package energy implements the paper's hybrid energy model (Sec. VI-B):
 // technology-derived per-access dynamic energies and static powers
 // (Table III) combined with simulation event counts. It produces the
-// memory-subsystem dynamic-energy breakdown of Fig 13 and the LLC power
-// sanity check of Sec. VII-C.
+// memory-subsystem dynamic-energy breakdown of Fig 13; the package's
+// tests check the LLC power bound of Sec. VII-C from the same Compute.
 package energy
 
 // Params are the Table III technology parameters for one system.
@@ -51,11 +51,6 @@ type Breakdown struct {
 // DynamicJ is the total dynamic energy (the Fig 13 quantity).
 func (b Breakdown) DynamicJ() float64 { return b.LLCDynamicJ + b.MemDynamicJ }
 
-// TotalJ includes static energy.
-func (b Breakdown) TotalJ() float64 {
-	return b.DynamicJ() + b.LLCStaticJ + b.MemStaticJ
-}
-
 // Compute turns event counts over a window of `seconds` into energy.
 // llcAccesses counts LLC bank/vault accesses (data and metadata);
 // memAccesses counts demand reads plus writebacks.
@@ -66,14 +61,4 @@ func Compute(p Params, llcAccesses, memAccesses uint64, seconds float64) Breakdo
 		LLCStaticJ:  p.LLCStaticWPerBank * float64(p.LLCBanks) * seconds,
 		MemStaticJ:  p.MemStaticW * seconds,
 	}
-}
-
-// LLCPowerW is the LLC's total power over the window (static + dynamic),
-// the Sec. VII-C sanity check that SILO's vault power stays under ~2.5 W.
-func LLCPowerW(p Params, llcAccesses uint64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	b := Compute(p, llcAccesses, 0, seconds)
-	return b.LLCStaticJ/seconds + b.LLCDynamicJ/seconds
 }

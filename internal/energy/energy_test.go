@@ -35,8 +35,8 @@ func TestComputeArithmetic(t *testing.T) {
 	if math.Abs(b.MemStaticJ-4.0) > 1e-12 {
 		t.Fatalf("mem static = %v, want 4", b.MemStaticJ)
 	}
-	if math.Abs(b.DynamicJ()-2.25) > 1e-12 || math.Abs(b.TotalJ()-6.73) > 1e-12 {
-		t.Fatalf("totals wrong: dyn=%v total=%v", b.DynamicJ(), b.TotalJ())
+	if math.Abs(b.DynamicJ()-2.25) > 1e-12 {
+		t.Fatalf("dynamic total = %v, want 2.25", b.DynamicJ())
 	}
 }
 
@@ -58,17 +58,12 @@ func TestSILOLLCPowerBound(t *testing.T) {
 	// cores produce about 200K*16*0.04 vault accesses per window.
 	seconds := 100e-6
 	accesses := uint64(200_000 * 16 * 4 / 100)
-	w := LLCPowerW(p, accesses, seconds)
+	b := Compute(p, accesses, 0, seconds)
+	w := (b.LLCStaticJ + b.LLCDynamicJ) / seconds
 	if w > 2.5 {
 		t.Fatalf("SILO LLC power %vW exceeds the paper's 2.5W bound", w)
 	}
 	if w < 16*0.120 {
 		t.Fatal("power below static floor")
-	}
-}
-
-func TestLLCPowerZeroWindow(t *testing.T) {
-	if LLCPowerW(SILOParams(16), 100, 0) != 0 {
-		t.Fatal("zero window should produce zero power")
 	}
 }

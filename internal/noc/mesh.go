@@ -56,14 +56,6 @@ func (m *Mesh) Coord(node int) (x, y int) {
 	return node % m.Width, node / m.Width
 }
 
-// NodeAt returns the node id at (x, y).
-func (m *Mesh) NodeAt(x, y int) int {
-	if x < 0 || x >= m.Width || y < 0 || y >= m.Height {
-		panic(fmt.Sprintf("noc: coordinate (%d,%d) outside %dx%d mesh", x, y, m.Width, m.Height))
-	}
-	return y*m.Width + x
-}
-
 // Hops returns the XY-routed hop count between two nodes (Manhattan
 // distance).
 func (m *Mesh) Hops(from, to int) int {

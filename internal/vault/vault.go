@@ -39,11 +39,6 @@ func CapacityOptimized() Config {
 	return Config{Banks: 8, ArrayCycles: 20, ControllerCycles: 4, SerializeCycles: 8}
 }
 
-// UnloadedLatency is the conflict-free access latency.
-func (c Config) UnloadedLatency() sim.Cycle {
-	return c.ControllerCycles + c.ArrayCycles + c.SerializeCycles
-}
-
 // Vault tracks per-bank busy times and accumulates access statistics.
 type Vault struct {
 	cfg      Config

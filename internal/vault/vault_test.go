@@ -9,11 +9,16 @@ import (
 
 func line(n uint64) mem.LineAddr { return mem.LineAddr(n * mem.LineSize) }
 
+// unloadedLatency is the conflict-free access latency.
+func unloadedLatency(c Config) sim.Cycle {
+	return c.ControllerCycles + c.ArrayCycles + c.SerializeCycles
+}
+
 func TestTable2Latencies(t *testing.T) {
-	if got := LatencyOptimized().UnloadedLatency(); got != 23 {
+	if got := unloadedLatency(LatencyOptimized()); got != 23 {
 		t.Errorf("latency-optimized vault = %d cycles, want 23", got)
 	}
-	if got := CapacityOptimized().UnloadedLatency(); got != 32 {
+	if got := unloadedLatency(CapacityOptimized()); got != 32 {
 		t.Errorf("capacity-optimized vault = %d cycles, want 32", got)
 	}
 }
