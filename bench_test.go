@@ -11,6 +11,7 @@ package silo_test
 // exist to regenerate shapes quickly and to track simulator performance.
 
 import (
+	"math/bits"
 	"testing"
 
 	silo "repro"
@@ -331,40 +332,31 @@ func BenchmarkArrayProbe(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/access")
 }
 
-// coherenceTableProbe drives both coherence substrates — the MOESI
-// directory and the MESI snoop filter — through a read/share/write/evict
-// cycle over a line population large enough to exercise the store's
-// growth and deletion paths, on the given store implementation, and
-// returns the operations performed.
+// coherenceTableProbe drives the MESI snoop filter, the one coherence
+// substrate on a line table, through a read/write/evict cycle over a line
+// population large enough to exercise the store's growth and deletion
+// paths, on the given store implementation, and returns the operations
+// performed.
 func coherenceTableProbe(kind coherence.StoreKind) uint64 {
 	const ops = 1 << 20
 	const cores = 16
 	const lines = 1 << 16
-	dir := coherence.NewDirectoryWithStore(cores, coherence.MOESI, kind)
 	snoop := coherence.NewSnoopFilterWithStore(cores, kind)
-	// 7 store-touching operations per iteration: the StateOf guard always
-	// probes, and the guarded Read always fires in steady state because
-	// the preceding iteration's Evict emptied the line's entry.
-	for i := 0; i < ops/7; i++ {
+	// 3 store-touching operations per iteration.
+	for i := 0; i < ops/3; i++ {
 		line := mem.LineAddr(uint64(i%lines) * mem.LineSize)
 		r := i % cores
 		w := (i + 7) % cores
-		if dir.StateOf(line, r) == cache.Invalid {
-			dir.Read(line, r)
-		}
-		dir.WriteMask(line, w)
-		dir.Evict(line, w)
 		snoop.Read(line, r)
 		snoop.WriteMask(line, w)
 		snoop.Evict(line, w, false)
 	}
-	return ops / 7 * 7
+	return ops / 3 * 3
 }
 
-// BenchmarkCoherenceTable* time the coherence substrates' store
-// implementations on the canonical directory + snoop-filter op cycle
-// (coherenceTableProbe). The open-addressed table serves more than 16
-// cores.
+// BenchmarkCoherenceTable* time the snoop filter's store implementations
+// on its canonical op cycle (coherenceTableProbe). The open-addressed
+// table serves more than 16 cores.
 func benchCoherenceTable(b *testing.B, kind coherence.StoreKind) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
@@ -419,19 +411,33 @@ func BenchmarkStreamProbeSerial(b *testing.B)  { benchStreamProbe(b, false) }
 func BenchmarkStreamProbeBatched(b *testing.B) { benchStreamProbe(b, true) }
 
 // BenchmarkDirectoryOps measures the duplicate-tag directory's hot path,
-// the allocation-free calls the SILO hierarchy makes: a
-// read-share-write-evict cycle across 16 cores.
+// the allocation-free calls the SILO hierarchy makes, over 16
+// direct-mapped vaults of 4-byte slots: a read-share-write-evict cycle,
+// with the fills, peer invalidations and evictions the hierarchy
+// performs around the directory.
 func BenchmarkDirectoryOps(b *testing.B) {
-	d := coherence.NewDirectory(16, coherence.MOESI)
+	const cores, sets = 16, 4096
+	vaults := make([]*cache.Array, cores)
+	for c := range vaults {
+		vaults[c] = cache.NewArray(sets*mem.LineSize, 1, cache.LRU)
+	}
+	d := coherence.NewDirectory(vaults, coherence.MOESI)
 	for i := 0; i < b.N; i++ {
-		line := mem.LineAddr(uint64(i%4096) * mem.LineSize)
-		r := i % 16
-		if d.StateOf(line, r) == 0 { // Invalid
-			d.Read(line, r)
+		// One line per set, so fills never evict.
+		line := mem.LineAddr(uint64(i%sets) * mem.LineSize)
+		r := i % cores
+		if d.StateOf(line, r) == cache.Invalid {
+			vaults[r].InsertAt(line, d.Read(line, r).FillState)
 		}
-		w := (i + 7) % 16
-		d.WriteMask(line, w)
-		d.Evict(line, w)
+		w := (i + 7) % cores
+		out := d.WriteMask(line, w)
+		for m := out.InvalidatedMask; m != 0; m &= m - 1 {
+			vaults[bits.TrailingZeros32(m)].Invalidate(line)
+		}
+		if !out.Upgrade {
+			vaults[w].InsertAt(line, cache.Modified)
+		}
+		vaults[w].Invalidate(line)
 	}
 }
 

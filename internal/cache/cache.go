@@ -246,11 +246,13 @@ func (a *Array) set(line mem.LineAddr) int {
 	return int((tag(line) >> a.shift) & uint64(a.sets-1))
 }
 
-// packDM builds the 4-byte word for tag t: the set-index bits dropped,
-// the bank bits below them kept.
-func (a *Array) packDM(t uint64, st State) uint32 {
-	kept := t>>(a.shift+a.setBits)<<a.shift | t&(1<<a.shift-1)
-	return uint32(kept<<dmTagShift) | uint32(st)<<1 | slotValid
+// packDM builds the 4-byte word for tag t and state st.
+func (a *Array) packDM(t uint64, st State) uint32 { return a.dmTag(t) | uint32(st)<<1 | slotValid }
+
+// dmTag places tag t in the 4-byte word: the set-index bits dropped, the
+// bank bits below them kept.
+func (a *Array) dmTag(t uint64) uint32 {
+	return uint32((t>>(a.shift+a.setBits)<<a.shift | t&(1<<a.shift-1)) << dmTagShift)
 }
 
 // dmLine rebuilds the line address held by word v of set s.
@@ -271,23 +273,52 @@ const NoWay Way = -1
 
 // Probe finds the line with a single tag scan and returns its slot handle,
 // or NoWay when absent. It does not update recency; pair with TouchWay.
-func (a *Array) Probe(line mem.LineAddr) Way {
-	t := uint64(line) / mem.LineSize
-	s := int(t >> a.shift & uint64(a.sets-1))
+func (a *Array) Probe(line mem.LineAddr) Way { return a.ProbeKey(a.KeyOf(line)) }
+
+// Key is a line's set index and its slot word with the state bits clear,
+// as one geometry stores them. KeyOf derives it once, and ProbeKey probes
+// any array of the same geometry (SameGeometry) with it, so a caller that
+// reads one line's set in many like-shaped arrays — the coherence
+// directory reading every vault — derives neither per array.
+type Key struct {
+	set  int
+	word uint64
+}
+
+// KeyOf derives line's Key in this array's geometry.
+func (a *Array) KeyOf(line mem.LineAddr) (k Key) {
+	t := tag(line)
+	k.set = int(t >> a.shift & uint64(a.sets-1))
+	if a.dm == nil {
+		k.word = t<<slotTagShift | slotValid
+	} else {
+		k.word = uint64(a.dmTag(t) | slotValid)
+	}
+	return k
+}
+
+// ProbeKey is Probe for a Key derived on an array of this geometry. It
+// inlines into its caller.
+func (a *Array) ProbeKey(k Key) Way {
 	if a.dm != nil {
-		if a.dm[s]&^slotStateMask == a.packDM(t, Invalid) {
-			return Way(s)
+		if uint64(a.dm[k.set]&^slotStateMask) == k.word {
+			return Way(k.set)
 		}
 		return NoWay
 	}
-	base := s * a.ways
-	want := t<<slotTagShift | slotValid
+	base := k.set * a.ways
 	for w, v := range a.slots[base : base+a.ways] {
-		if v&^(slotStateMask|slotStampMask) == want {
+		if v&^(slotStateMask|slotStampMask) == k.word {
 			return Way(base + w)
 		}
 	}
 	return NoWay
+}
+
+// SameGeometry reports whether b has a's sets, ways and set-index shift,
+// so a Key derived on either probes both.
+func (a *Array) SameGeometry(b *Array) bool {
+	return a.sets == b.sets && a.ways == b.ways && a.shift == b.shift
 }
 
 // ProbeTouch finds the line and marks it most recently used in the same

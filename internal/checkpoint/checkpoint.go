@@ -23,7 +23,7 @@
 // followed by only the chunk's nonzero elements. It is decoded in place
 // into the all-zero slab of the component that was built from the live
 // Config, so a restore writes only live elements and allocates only the
-// slabs whose length is data (the coherence line table). Those stay
+// slabs whose length is data (a snoop filter's line table). Those stay
 // dense: every element, in order. Shape fields (geometry, ids, flags)
 // are recorded and compared, never overwritten.
 // Sections are length-prefixed names the walk writes and then verifies,
@@ -63,19 +63,20 @@ const Magic = "SILOCKPT"
 // FormatVersion is bumped whenever any component's walk changes the
 // byte layout; a mismatch makes Open fail and the caller rebuild from
 // scratch. core.TestCheckpointImageGolden pins the layout.
-const FormatVersion = 4
+const FormatVersion = 5
 
 // FormatTag names the format generation inside content-hash keys, so
 // key derivation itself is versioned alongside the byte layout.
-const FormatTag = "ckpt-v4"
+const FormatTag = "ckpt-v5"
 
 // maxSliceLen caps slice lengths read before the CRC has been verified
 // when the source's size is unknown (a Reader over a plain stream). It
 // counts elements, not bytes; a Reader that knows its size (Open, or an
 // in-memory source) instead rejects any length whose bytes the source
 // does not hold, so a corrupt length cannot trigger an allocation larger
-// than the file. The largest legitimate slice is a Scale-1 line-table
-// slab (tens of millions of slots), far below this.
+// than the file. The largest legitimate slice is a snoop filter's line
+// table, which never tracks more lines than the private caches hold, far
+// below this.
 const maxSliceLen = 1 << 28
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -130,8 +130,8 @@ func Slab[T Word](c *Codec, s []T) {
 	}
 }
 
-// DataSlab walks a slab whose length is data, not geometry (the
-// coherence line table, sized by how much warm-up filled it), densely:
+// DataSlab walks a slab whose length is data, not geometry (a snoop
+// filter's line table, sized by how much warm-up filled it), densely:
 // every element in order. The decoder replaces *p with a slab of the
 // recorded length, once the length has passed the bound of the bytes
 // the source holds (a dense body is what makes that bound hold); an

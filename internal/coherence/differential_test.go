@@ -8,13 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// The coherence differential: a SnoopFilter (and a Directory) built on the
-// open-addressed or quotient-compressed table must return, operation for
-// operation, exactly what the map-backed reference returns — results,
-// stats, and entry counts. Together with the protocol logic being
-// byte-for-byte shared (only the store differs), this is the
-// substrate-swap half of the determinism contract (DESIGN.md §7 and §8).
-// CI runs this file under -race.
+// The coherence-store differential: a SnoopFilter (and the line-table
+// directory oracle, lineDirectory) built on the open-addressed or
+// quotient-compressed table must return, operation for operation,
+// exactly what the map-backed reference returns — results, stats, and
+// entry counts. Together with the protocol logic being byte-for-byte
+// shared (only the store differs), this is the substrate-swap half of the
+// determinism contract (DESIGN.md §7 and §8). CI runs this file under
+// -race.
 
 // tableKinds are the fast stores checked against the map reference.
 var tableKinds = []StoreKind{OpenTable, QuotTable}
@@ -80,7 +81,7 @@ func TestSnoopFilterStoreDifferential(t *testing.T) {
 	}
 }
 
-func dirStats(d *Directory) [6]uint64 {
+func dirStats(d *lineDirectory) [6]uint64 {
 	return [6]uint64{d.Reads, d.Writes, d.Upgrades, d.Forwards, d.Invalidations, d.MemWritebacks}
 }
 
@@ -89,8 +90,8 @@ func TestDirectoryStoreDifferential(t *testing.T) {
 		for _, proto := range []Protocol{MOESI, MESI} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				const cores = 16
-				fast := NewDirectoryWithStore(cores, proto, kind)
-				ref := newMapDirectory(cores, proto)
+				fast := newLineDirectory(cores, proto, kind)
+				ref := newMapLineDirectory(cores, proto)
 				rng := sim.NewRNG(seed*7907 + uint64(proto))
 
 				const lines = 2500
@@ -182,10 +183,10 @@ func TestSnoopSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestDirectorySteadyStateAllocFree does the same for the private-LLC
-// directory's read/write/evict cycle.
+// directory's read/write/evict cycle over its vaults.
 func TestDirectorySteadyStateAllocFree(t *testing.T) {
 	const cores, lines = 16, 512
-	d := NewDirectory(cores, MOESI)
+	d := newVaultDir(cores, MOESI, 4096, 1)
 	line := func(i uint64) mem.LineAddr { return mem.LineAddr(i * mem.LineSize) }
 	for i := uint64(0); i < lines; i++ {
 		d.Read(line(i), int(i%cores))

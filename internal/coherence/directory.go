@@ -1,19 +1,22 @@
 // Package coherence implements the two coherence substrates of the
 // evaluated systems:
 //
-//   - Directory: the directory-based protocol that keeps SILO's all-private
-//     vault LLCs coherent (paper Sec. V-B). It models the duplicate-tag
-//     organization — logically an N-way tag store where the way position
-//     encodes the caching core — as per-line compact state. MOESI is the
-//     paper's protocol; MESI is selectable for the ablation study.
+//   - Directory: the directory protocol that keeps SILO's all-private
+//     vault LLCs coherent (paper Sec. V-B). The paper embeds a
+//     duplicate-tag directory in the vaults, and duplicate tags are
+//     copies of the vault tags, so the Directory is a view over the
+//     per-core vault arrays themselves: each vault slot's state field
+//     carries its core's MOESI state, and a line's holders are one read
+//     of the line's set in every vault. MOESI is the paper's protocol;
+//     MESI is selectable for the ablation study.
 //   - SnoopFilter: the sharer tracking a shared last-level cache performs
 //     for the private L1s above it (baseline MESI, non-inclusive, paper
-//     Table II).
+//     Table II), kept in a per-line table (table.go, quot.go).
 //
-// Both types are purely functional state machines: they decide who
-// forwards, who is invalidated, and what is written back, while the system
-// assembly (internal/core) attaches latencies to those decisions. This
-// separation lets the protocol be tested exhaustively without a clock.
+// Both are purely functional: they decide who forwards, who is
+// invalidated, and what is written back, while the system assembly
+// (internal/core) attaches latencies to those decisions. This separation
+// lets the protocol be tested exhaustively without a clock.
 package coherence
 
 import (
@@ -46,152 +49,64 @@ func (p Protocol) String() string {
 // MemorySource marks data supplied by main memory rather than a peer cache.
 const MemorySource = -1
 
-// entry is the packed per-line directory state: bits 0-31 the sharer mask
-// (bit c: core c holds the line), bits 32-37 the owner + 1 (0 = no
-// owner), bits 38-39 the owner's state code (E/O/M) — full 32-core
-// width, so the open and map stores serve any legal core count. At most
-// one core holds the line in a non-Shared state (the owner); every other
-// holder is Shared. Storing the packed word keeps the hot mutations
-// single word ops; the quotient store re-packs the word into its 23-bit
-// value field at its boundary (exact within quotMaxCores, which
-// NewDirectoryWithStore gates).
-type entry uint64
-
-const (
-	dirOwnerShift = 32                    // owner+1 field
-	dirStateShift = 38                    // owner-state code field
-	dirOwnerClear = 0xFF << dirOwnerShift // clears owner and state together
-)
-
-// dirStateOf decodes a state code; dirCodeOf encodes one. Only E, O and M
-// are representable — exactly the states an owner may hold.
-var dirStateOf = [4]cache.State{cache.Invalid, cache.Exclusive, cache.Owned, cache.Modified}
-
-func dirCodeOf(st cache.State) uint64 {
-	switch st {
-	case cache.Exclusive:
-		return 1
-	case cache.Owned:
-		return 2
-	case cache.Modified:
-		return 3
-	default:
-		return 0
-	}
-}
-
-func dirEntry(mask uint32, owner int, ownerState cache.State) entry {
-	w := uint64(mask) | uint64(owner+1)<<dirOwnerShift
-	if owner >= 0 {
-		w |= dirCodeOf(ownerState) << dirStateShift
-	}
-	return entry(w)
-}
-
-func (e entry) mask() uint32            { return uint32(e) }
-func (e entry) owner() int              { return int(e>>dirOwnerShift&0x3F) - 1 }
-func (e entry) ownerState() cache.State { return dirStateOf[e>>dirStateShift&3] }
-
-// setOwnerState swaps the state code, leaving mask and owner in place.
-func (e *entry) setOwnerState(st cache.State) {
-	*e = *e&^(3<<dirStateShift) | entry(dirCodeOf(st))<<dirStateShift
-}
-
-// clearOwner drops the owner and its state code (owner -> -1).
-func (e *entry) clearOwner() { *e &^= dirOwnerClear }
-
-// packValue/unpackValue are the quotient table's 23-bit value contract
-// (see quot.go): a 16-bit mask, 5-bit owner+1, 2-bit state re-packing,
-// exact for the <=quotMaxCores systems the quotient store accepts.
-func (e entry) packValue() uint64 {
-	return uint64(e)&(1<<quotMaxCores-1) |
-		uint64(e)>>dirOwnerShift&0x3F<<quotMaxCores |
-		uint64(e)>>dirStateShift&3<<(quotMaxCores+5)
-}
-
-func (entry) unpackValue(w uint64) entry {
-	return entry(w&(1<<quotMaxCores-1) |
-		w>>quotMaxCores&0x1F<<dirOwnerShift |
-		w>>(quotMaxCores+5)&3<<dirStateShift)
-}
-
-// Directory is the coherence directory for a private-LLC system with up to
-// 32 cores.
+// Directory is the coherence directory of a private-LLC system with up to
+// 32 cores: a view over the cores' vault arrays, which share one
+// geometry. The slot of a vault-resident line holds its core's state: E,
+// O or M for the line's one owner, S for every other holder. The
+// directory writes owner downgrades and upgrades into those slots; the
+// caller installs the fill state a Read returns (Modified after a
+// WriteMask miss), invalidates the peers a WriteMask names, and evicts
+// with the victim slot's own state — cache.Eviction.State says whether
+// the victim was a dirty owner.
 type Directory struct {
 	protocol Protocol
-	cores    int
-	entries  hotStore[entry]
-
-	// Stats.
-	Reads         uint64
-	Writes        uint64
-	Upgrades      uint64
-	Forwards      uint64 // cache-to-cache transfers
-	Invalidations uint64 // per-core invalidation messages
-	MemWritebacks uint64 // protocol-induced writebacks (MESI downgrades, O/M evictions)
+	vaults   []*cache.Array
 }
 
-// NewDirectory builds a directory for the given core count and protocol on
-// the default line table for the core count (quotient-compressed up to 16
-// cores, open full-key beyond).
-func NewDirectory(cores int, protocol Protocol) *Directory {
-	return NewDirectoryWithStore(cores, protocol, DefaultStore(cores))
-}
-
-// NewDirectoryWithStore builds a directory on an explicit store
-// implementation; the differential test drives both against the Go-map
-// reference to prove operation-for-operation equality.
-func NewDirectoryWithStore(cores int, protocol Protocol, kind StoreKind) *Directory {
-	if cores <= 0 || cores > 32 {
-		panic(fmt.Sprintf("coherence: core count %d outside [1,32]", cores))
+// NewDirectory builds the directory over vaults, one per core.
+func NewDirectory(vaults []*cache.Array, protocol Protocol) *Directory {
+	if n := len(vaults); n == 0 || n > 32 {
+		panic(fmt.Sprintf("coherence: core count %d outside [1,32]", n))
 	}
-	if kind == QuotTable && cores > quotMaxCores {
-		panic(fmt.Sprintf("coherence: quotient store packs a %d-core sharer mask; %d cores need OpenTable",
-			quotMaxCores, cores))
+	for c, v := range vaults {
+		if !v.SameGeometry(vaults[0]) {
+			panic(fmt.Sprintf("coherence: vault %d differs in geometry from vault 0", c))
+		}
 	}
-	return &Directory{protocol: protocol, cores: cores, entries: newHotStore[entry](kind)}
+	return &Directory{protocol: protocol, vaults: vaults}
 }
-
-// BytesPerSlot reports the inline footprint of one line-table slot.
-func (d *Directory) BytesPerSlot() int { return d.entries.bytesPerSlot() }
-
-// Reserve sizes an empty directory's line table for n lines in one
-// allocation, so filling it never pays incremental growth. A directory
-// already tracking lines ignores it.
-func (d *Directory) Reserve(n int) { d.entries.reserve(n) }
-
-// Protocol returns the configured protocol.
-func (d *Directory) Protocol() Protocol { return d.protocol }
-
-// Entries returns the number of tracked lines.
-func (d *Directory) Entries() int { return d.entries.size() }
 
 func (d *Directory) check(core int) {
-	if core < 0 || core >= d.cores {
-		panic(fmt.Sprintf("coherence: core %d outside [0,%d)", core, d.cores))
+	if core < 0 || core >= len(d.vaults) {
+		panic(fmt.Sprintf("coherence: core %d outside [0,%d)", core, len(d.vaults)))
 	}
+}
+
+// holders reads the line's set in every vault, deriving its set index and
+// tag once: the mask of cores holding the line (bit c: core c), and the
+// owner — the holder in E, O or M — with its way, or owner -1.
+func (d *Directory) holders(line mem.LineAddr) (mask uint32, owner int, ow cache.Way) {
+	owner = -1
+	k := d.vaults[0].KeyOf(line)
+	for c, v := range d.vaults {
+		if w := v.ProbeKey(k); w != cache.NoWay {
+			mask |= 1 << uint(c)
+			if v.WayState(w) != cache.Shared {
+				owner, ow = c, w
+			}
+		}
+	}
+	return mask, owner, ow
 }
 
 // StateOf reports the coherence state of the line in core's private LLC.
 func (d *Directory) StateOf(line mem.LineAddr, core int) cache.State {
 	d.check(core)
-	e, ok := d.entries.get(line)
-	if !ok || e.mask()&(1<<uint(core)) == 0 {
-		return cache.Invalid
+	v := d.vaults[core]
+	if w := v.Probe(line); w != cache.NoWay {
+		return v.WayState(w)
 	}
-	if e.owner() == core {
-		return e.ownerState()
-	}
-	return cache.Shared
-}
-
-// SharersMask returns the holder set of the line as a bit mask.
-func (d *Directory) SharersMask(line mem.LineAddr) uint32 {
-	e, ok := d.entries.get(line)
-	if !ok {
-		return 0
-	}
-	return e.mask()
+	return cache.Invalid
 }
 
 // ReadOutcome describes how a read miss is satisfied.
@@ -207,54 +122,47 @@ type ReadOutcome struct {
 	MemWriteback bool
 }
 
-// Read records a read miss by requester and returns how it is satisfied.
-// The requester must not already hold the line.
+// Read records a read miss by requester and returns how it is satisfied;
+// the caller then installs the line in FillState. The requester must not
+// already hold the line.
 func (d *Directory) Read(line mem.LineAddr, requester int) ReadOutcome {
 	d.check(requester)
-	d.Reads++
-	bit := uint32(1) << uint(requester)
-	e := d.entries.ref(line)
-	if e != nil && e.mask()&bit != 0 {
+	mask, owner, ow := d.holders(line)
+	if mask&(1<<uint(requester)) != 0 {
 		panic(fmt.Sprintf("coherence: core %d read-missed line %#x it already holds", requester, uint64(line)))
 	}
-	if e == nil {
+	if mask == 0 {
 		// No cached copy anywhere: fill Exclusive from memory.
-		d.entries.put(line, dirEntry(bit, requester, cache.Exclusive))
 		return ReadOutcome{Source: MemorySource, FillState: cache.Exclusive}
 	}
-
 	out := ReadOutcome{FillState: cache.Shared}
-	if ow := e.owner(); ow >= 0 {
-		out.Source = ow
-		d.Forwards++
-		switch e.ownerState() {
-		case cache.Modified:
-			if d.protocol == MOESI {
-				// M -> O: dirty data forwarded, memory untouched.
-				e.setOwnerState(cache.Owned)
-			} else {
-				// MESI: M -> S with a writeback to memory.
-				e.clearOwner()
-				out.MemWriteback = true
-				d.MemWritebacks++
-			}
-		case cache.Owned:
-			// Owner keeps O and keeps answering.
-		case cache.Exclusive:
-			// Clean forward; E degenerates to S.
-			e.clearOwner()
-		default:
-			panic(fmt.Sprintf("coherence: owner in state %v", e.ownerState()))
-		}
-	} else {
+	if owner < 0 {
 		// All copies Shared: the nearest sharer forwards. Source selection
 		// (which sharer) is a timing decision; report the lowest-numbered
-		// one and let the caller pick by distance via SharersMask.
-		out.Source = firstSet(e.mask())
-		d.Forwards++
+		// one.
+		out.Source = firstSet(mask)
+		return out
 	}
-	*e |= entry(bit)
-	d.entries.sync()
+	out.Source = owner
+	v := d.vaults[owner]
+	switch st := v.WayState(ow); st {
+	case cache.Modified:
+		if d.protocol == MOESI {
+			// M -> O: dirty data forwarded, memory untouched.
+			v.SetStateWay(ow, cache.Owned)
+		} else {
+			// MESI: M -> S with a writeback to memory.
+			v.SetStateWay(ow, cache.Shared)
+			out.MemWriteback = true
+		}
+	case cache.Owned:
+		// Owner keeps O and keeps answering.
+	case cache.Exclusive:
+		// Clean forward; E degenerates to S.
+		v.SetStateWay(ow, cache.Shared)
+	default:
+		panic(fmt.Sprintf("coherence: owner in state %v", st))
+	}
 	return out
 }
 
@@ -264,129 +172,102 @@ type WriteMaskOutcome struct {
 	// Source is the forwarding core, MemorySource for a memory fetch, or
 	// the requester itself for an upgrade (no data transfer).
 	Source int
-	// InvalidatedMask holds the other cores whose copies were invalidated
-	// (bit c: core c); iterate with bits.TrailingZeros32.
+	// InvalidatedMask holds the other cores whose copies must be
+	// invalidated (bit c: core c); iterate with bits.TrailingZeros32.
 	InvalidatedMask uint32
 	// Upgrade is set when the requester already held the line.
 	Upgrade bool
 }
 
-// WriteMask records a write miss (or upgrade) by requester; afterwards the
-// requester holds the line in Modified and nobody else holds it. This is
-// the fast path: the steady-state store flow allocates nothing.
+// WriteMask records a write miss (or upgrade) by requester. An upgrade
+// leaves the requester's slot Modified; after a miss the caller installs
+// the line Modified. Either way the caller then invalidates every core in
+// InvalidatedMask, leaving the requester the only holder. The steady-state
+// store flow allocates nothing.
 func (d *Directory) WriteMask(line mem.LineAddr, requester int) WriteMaskOutcome {
 	d.check(requester)
-	d.Writes++
 	bit := uint32(1) << uint(requester)
-	e := d.entries.ref(line)
-	out := WriteMaskOutcome{Source: MemorySource}
-	if e != nil {
-		mask := e.mask()
-		if mask&bit != 0 {
-			out.Upgrade = true
-			out.Source = requester
-			d.Upgrades++
-		} else if ow := e.owner(); ow >= 0 {
-			// Dirty or exclusive peer copy: it forwards then invalidates.
-			out.Source = ow
-			d.Forwards++
-		} else if mask != 0 {
-			// Clean shared copies: one forwards, all invalidate.
-			out.Source = firstSet(mask)
-			d.Forwards++
-		}
-		out.InvalidatedMask = mask &^ bit
-		d.Invalidations += uint64(bits.OnesCount32(out.InvalidatedMask))
-		*e = dirEntry(bit, requester, cache.Modified)
-		d.entries.sync()
-		return out
-	}
-	d.entries.put(line, dirEntry(bit, requester, cache.Modified))
-	return out
-}
-
-// EvictOutcome describes a private-LLC eviction.
-type EvictOutcome struct {
-	// MemWriteback is set when the evicted line was dirty (M or O) and must
-	// be written to memory.
-	MemWriteback bool
-}
-
-// Evict records that core's private LLC dropped the line (capacity or
-// conflict eviction). Shared copies at other cores survive.
-func (d *Directory) Evict(line mem.LineAddr, core int) EvictOutcome {
-	d.check(core)
-	bit := uint32(1) << uint(core)
-	e := d.entries.ref(line)
-	if e == nil || e.mask()&bit == 0 {
-		panic(fmt.Sprintf("coherence: core %d evicted line %#x it does not hold", core, uint64(line)))
-	}
-	var out EvictOutcome
-	if e.owner() == core {
-		if e.ownerState().Dirty() {
-			out.MemWriteback = true
-			d.MemWritebacks++
-		}
-		e.clearOwner()
-	}
-	*e &^= entry(bit)
-	if e.mask() == 0 {
-		d.entries.del(line)
-	} else {
-		d.entries.sync()
+	mask, owner, _ := d.holders(line)
+	out := WriteMaskOutcome{Source: MemorySource, InvalidatedMask: mask &^ bit}
+	switch {
+	case mask&bit != 0:
+		out.Upgrade = true
+		out.Source = requester
+		v := d.vaults[requester]
+		v.SetStateWay(v.Probe(line), cache.Modified)
+	case owner >= 0:
+		// Dirty or exclusive peer copy: it forwards then invalidates.
+		out.Source = owner
+	case mask != 0:
+		// Clean shared copies: one forwards, all invalidate.
+		out.Source = firstSet(mask)
 	}
 	return out
 }
 
 // MarkDirty records that core's copy became dirty without a directory
 // transaction — an L1 writeback landing in a vault that already holds the
-// line in E or M (silent E->M upgrade). The core must be the owner in E/M;
-// writes to Shared copies must go through WriteMask.
+// line in E or M (silent E->M upgrade); an O or M copy stays as it is.
+// Writes to Shared copies must go through WriteMask.
 func (d *Directory) MarkDirty(line mem.LineAddr, core int) {
 	d.check(core)
-	e := d.entries.ref(line)
-	if e == nil || e.owner() != core {
-		panic(fmt.Sprintf("coherence: MarkDirty by non-owner core %d on line %#x", core, uint64(line)))
+	v := d.vaults[core]
+	w := v.Probe(line)
+	st := cache.Invalid
+	if w != cache.NoWay {
+		st = v.WayState(w)
 	}
-	if e.ownerState() == cache.Exclusive {
-		e.setOwnerState(cache.Modified)
-		d.entries.sync()
+	switch st {
+	case cache.Exclusive:
+		v.SetStateWay(w, cache.Modified)
+	case cache.Owned, cache.Modified:
+	default:
+		panic(fmt.Sprintf("coherence: MarkDirty by non-owner core %d on line %#x", core, uint64(line)))
 	}
 }
 
-// CheckInvariants validates the representation; tests call it after
-// randomized operation sequences. It returns an error description or "".
+// CheckInvariants validates the states the vaults hold, returning an
+// error description or "": every slot holds S, E, O or M; a line has at
+// most one owner; an E or M owner holds it alone; and MESI never holds O.
+// Only owners are cross-checked, each against the line's set in every
+// other vault.
 func (d *Directory) CheckInvariants() string {
 	msg := ""
-	d.entries.forEach(func(line mem.LineAddr, e entry) {
-		if msg != "" {
-			return
-		}
-		mask, owner := e.mask(), e.owner()
-		if mask == 0 {
-			msg = fmt.Sprintf("line %#x: empty entry retained", uint64(line))
-			return
-		}
-		if owner >= 0 {
-			if mask&(1<<uint(owner)) == 0 {
-				msg = fmt.Sprintf("line %#x: owner %d not in mask", uint64(line), owner)
+	for c, v := range d.vaults {
+		v.ForEach(func(line mem.LineAddr, st cache.State) {
+			if msg != "" || st == cache.Shared {
 				return
 			}
-			switch st := e.ownerState(); st {
-			case cache.Exclusive, cache.Modified:
-				if mask != 1<<uint(owner) {
-					msg = fmt.Sprintf("line %#x: %v owner with other sharers", uint64(line), st)
-				}
-			case cache.Owned:
-				if d.protocol == MESI {
-					msg = fmt.Sprintf("line %#x: O state under MESI", uint64(line))
-				}
-			default:
-				msg = fmt.Sprintf("line %#x: bad owner state %v", uint64(line), st)
+			switch {
+			case st != cache.Exclusive && st != cache.Owned && st != cache.Modified:
+				msg = fmt.Sprintf("core %d vault holds line %#x in state %v", c, uint64(line), st)
+				return
+			case st == cache.Owned && d.protocol == MESI:
+				msg = fmt.Sprintf("core %d vault holds line %#x in O under MESI", c, uint64(line))
+				return
 			}
+			k := v.KeyOf(line)
+			for p, pv := range d.vaults {
+				w := pv.ProbeKey(k)
+				if p == c || w == cache.NoWay {
+					continue
+				}
+				if pst := pv.WayState(w); pst != cache.Shared {
+					msg = fmt.Sprintf("line %#x: two owners, core %d in %v and core %d in %v",
+						uint64(line), c, st, p, pst)
+				} else if st != cache.Owned {
+					msg = fmt.Sprintf("line %#x: %v owner %d with sharer %d", uint64(line), st, c, p)
+				}
+				if msg != "" {
+					return
+				}
+			}
+		})
+		if msg != "" {
+			return msg
 		}
-	})
-	return msg
+	}
+	return ""
 }
 
 // firstSet returns the lowest-numbered core in a non-empty sharer mask.

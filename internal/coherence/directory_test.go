@@ -10,8 +10,13 @@ import (
 
 func line(n uint64) mem.LineAddr { return mem.LineAddr(n * mem.LineSize) }
 
+// newTestDir builds the transition tests' directory: 16 cores over
+// direct-mapped vaults of 64 sets, so the few lines each test uses never
+// conflict.
+func newTestDir(proto Protocol) *vaultDir { return newVaultDir(16, proto, 64, 1) }
+
 func TestFirstReadFillsExclusive(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	out := d.Read(line(1), 3)
 	if out.Source != MemorySource || out.FillState != cache.Exclusive || out.MemWriteback {
 		t.Fatalf("first read outcome = %+v", out)
@@ -25,7 +30,7 @@ func TestFirstReadFillsExclusive(t *testing.T) {
 }
 
 func TestReadAfterReadSharesCleanly(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0)
 	out := d.Read(line(1), 1)
 	if out.Source != 0 {
@@ -43,7 +48,7 @@ func TestReadAfterReadSharesCleanly(t *testing.T) {
 }
 
 func TestMOESIDirtySharingAvoidsMemory(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Write(line(1), 0) // core 0: M
 	out := d.Read(line(1), 1)
 	if out.Source != 0 {
@@ -66,7 +71,7 @@ func TestMOESIDirtySharingAvoidsMemory(t *testing.T) {
 }
 
 func TestMESIDirtySharingWritesBack(t *testing.T) {
-	d := NewDirectory(16, MESI)
+	d := newTestDir(MESI)
 	d.Write(line(1), 0)
 	out := d.Read(line(1), 1)
 	if out.Source != 0 {
@@ -78,13 +83,10 @@ func TestMESIDirtySharingWritesBack(t *testing.T) {
 	if d.StateOf(line(1), 0) != cache.Shared {
 		t.Fatal("MESI owner should drop to S")
 	}
-	if d.MemWritebacks != 1 {
-		t.Fatalf("MemWritebacks = %d, want 1", d.MemWritebacks)
-	}
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0)
 	d.Read(line(1), 1)
 	d.Read(line(1), 2)
@@ -107,7 +109,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestWriteUpgradeFromShared(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0)
 	d.Read(line(1), 1)
 	out := d.Write(line(1), 0)
@@ -117,13 +119,13 @@ func TestWriteUpgradeFromShared(t *testing.T) {
 	if len(out.Invalidated) != 1 || out.Invalidated[0] != 1 {
 		t.Fatalf("invalidated = %v, want [1]", out.Invalidated)
 	}
-	if d.Upgrades != 1 {
-		t.Fatalf("Upgrades = %d", d.Upgrades)
+	if d.StateOf(line(1), 0) != cache.Modified || d.StateOf(line(1), 1) != cache.Invalid {
+		t.Fatal("upgrader should hold M alone")
 	}
 }
 
 func TestWriteToDirtyPeerForwards(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Write(line(1), 0)
 	out := d.Write(line(1), 1)
 	if out.Source != 0 {
@@ -138,19 +140,19 @@ func TestWriteToDirtyPeerForwards(t *testing.T) {
 }
 
 func TestEvictModifiedWritesBack(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Write(line(1), 0)
 	out := d.Evict(line(1), 0)
 	if !out.MemWriteback {
 		t.Fatal("M eviction must write back")
 	}
-	if d.Entries() != 0 {
-		t.Fatal("entry should be removed")
+	if d.SharersMask(line(1)) != 0 {
+		t.Fatal("no core should hold the line")
 	}
 }
 
 func TestEvictOwnedKeepsSharers(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Write(line(1), 0)
 	d.Read(line(1), 1) // 0: O, 1: S
 	out := d.Evict(line(1), 0)
@@ -166,7 +168,7 @@ func TestEvictOwnedKeepsSharers(t *testing.T) {
 }
 
 func TestEvictCleanIsSilent(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0) // E
 	if out := d.Evict(line(1), 0); out.MemWriteback {
 		t.Fatal("E eviction should be silent")
@@ -179,7 +181,7 @@ func TestEvictCleanIsSilent(t *testing.T) {
 }
 
 func TestMarkDirty(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0) // E
 	d.MarkDirty(line(1), 0)
 	if d.StateOf(line(1), 0) != cache.Modified {
@@ -193,7 +195,7 @@ func TestMarkDirty(t *testing.T) {
 }
 
 func TestMarkDirtyByNonOwnerPanics(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0)
 	d.Read(line(1), 1) // S everywhere: no owner
 	defer func() {
@@ -205,7 +207,7 @@ func TestMarkDirtyByNonOwnerPanics(t *testing.T) {
 }
 
 func TestReadWhileHoldingPanics(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	d.Read(line(1), 0)
 	defer func() {
 		if recover() == nil {
@@ -216,7 +218,7 @@ func TestReadWhileHoldingPanics(t *testing.T) {
 }
 
 func TestEvictNotHeldPanics(t *testing.T) {
-	d := NewDirectory(16, MOESI)
+	d := newTestDir(MOESI)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -226,14 +228,27 @@ func TestEvictNotHeldPanics(t *testing.T) {
 }
 
 func TestNewDirectoryPanics(t *testing.T) {
-	for _, n := range []int{0, -1, 33} {
+	vaults := func(n int) []*cache.Array {
+		vs := make([]*cache.Array, n)
+		for c := range vs {
+			vs[c] = cache.NewArray(64*mem.LineSize, 1, cache.LRU)
+		}
+		return vs
+	}
+	mixed := vaults(4)
+	mixed[2] = cache.NewArray(128*mem.LineSize, 1, cache.LRU)
+	for name, vs := range map[string][]*cache.Array{
+		"0 cores":  nil,
+		"33 cores": vaults(33),
+		"mixed":    mixed,
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("expected panic for %d cores", n)
+					t.Errorf("expected panic for %s", name)
 				}
 			}()
-			NewDirectory(n, MOESI)
+			NewDirectory(vs, MOESI)
 		}()
 	}
 }
@@ -253,7 +268,7 @@ func TestDirectoryInvariantsUnderRandomOps(t *testing.T) {
 			proto = MESI
 		}
 		const cores = 4
-		d := NewDirectory(cores, proto)
+		d := newVaultDir(cores, proto, 64, 1)
 		held := map[mem.LineAddr]map[int]bool{} // reference presence
 		for _, op := range ops {
 			l := line(uint64(op) % 8)
@@ -307,7 +322,7 @@ func TestDirectoryInvariantsUnderRandomOps(t *testing.T) {
 func TestSingleOwnerProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const cores = 8
-		d := NewDirectory(cores, MOESI)
+		d := newVaultDir(cores, MOESI, 64, 1)
 		for _, op := range ops {
 			l := line(uint64(op) % 4)
 			c := int(op>>2) % cores

@@ -44,9 +44,9 @@ func newMapSnoopFilter(cores int) *SnoopFilter {
 	return f
 }
 
-// newMapDirectory builds a directory on the map reference.
-func newMapDirectory(cores int, protocol Protocol) *Directory {
-	d := NewDirectory(cores, protocol)
+// newMapLineDirectory builds the line-table oracle on the map reference.
+func newMapLineDirectory(cores int, protocol Protocol) *lineDirectory {
+	d := newLineDirectory(cores, protocol, OpenTable)
 	d.entries = hotStore[entry]{lineStore: mapStore[entry]{}}
 	return d
 }

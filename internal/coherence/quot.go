@@ -8,11 +8,11 @@ import (
 )
 
 // quotTable is the quotient-key-compressed lineStore: one uint64 per slot,
-// half the open table's 16 B, so paper-scale directory and snoop-filter
-// footprints move half as much memory per probe. Like openTable it is
-// open-addressed, power-of-two sized, linearly probed, backward-shift
-// deleted and incrementally grown — but instead of storing the full 8-byte
-// key next to an 8-byte value, each slot packs
+// half the open table's 16 B, so snoop-filter footprints move half as
+// much memory per probe. Like openTable it is open-addressed, power-of-two
+// sized, linearly probed, backward-shift deleted and incrementally grown —
+// but instead of storing the full 8-byte key next to an 8-byte value, each
+// slot packs
 //
 //	bit  0                   present
 //	bits 1..23               value (V packed to ≤23 bits, see lineValue)
@@ -59,8 +59,9 @@ type quotTable[V lineValue[V]] struct {
 
 // lineValue is the packing contract quotTable requires of its value type:
 // packValue must round-trip the value through at most quotValueBits bits.
-// Both coherence entry types fit in 23 bits for up to quotMaxCores cores
-// (16-bit sharer mask + 5-bit owner + 2-bit owner-state code).
+// The snoop filter's entries fit in 23 bits for up to quotMaxCores cores
+// (16-bit sharer mask + 5-bit owner), and so do the test-only line-table
+// directory's (+ 2-bit owner-state code).
 type lineValue[V any] interface {
 	packValue() uint64
 	unpackValue(uint64) V

@@ -191,10 +191,8 @@ func TestQuotStoreKindGates(t *testing.T) {
 		t.Fatalf("StoreKind name %q", QuotTable.String())
 	}
 	for kind, want := range map[StoreKind]int{QuotTable: 8, OpenTable: 16} {
-		dir := NewDirectoryWithStore(16, MOESI, kind).BytesPerSlot()
-		snoop := NewSnoopFilterWithStore(16, kind).BytesPerSlot()
-		if dir != want || snoop != want {
-			t.Fatalf("%v BytesPerSlot: directory %d, snoop filter %d, want %d", kind, dir, snoop, want)
+		if got := NewSnoopFilterWithStore(16, kind).BytesPerSlot(); got != want {
+			t.Fatalf("%v BytesPerSlot: %d, want %d", kind, got, want)
 		}
 	}
 	if DefaultStore(16) != QuotTable || DefaultStore(17) != OpenTable {
@@ -205,19 +203,37 @@ func TestQuotStoreKindGates(t *testing.T) {
 			t.Fatal("expected panic: quotient store beyond its core budget")
 		}
 	}()
-	NewDirectoryWithStore(32, MOESI, QuotTable)
+	NewSnoopFilterWithStore(32, QuotTable)
 }
 
-// TestFullWidthEntries32Cores pins the packed-entry layout at the full
-// 32-core width on the open table and the map reference (regression: a
-// 16-bit mask field silently truncated cores 16-31 and overflowed the
-// owner field).
+// fullWidthDirectory is what TestFullWidthEntries32Cores asks of a
+// directory: the vault view (through vaultDir) and the line-table oracle
+// both provide it.
+type fullWidthDirectory interface {
+	Read(line mem.LineAddr, core int) ReadOutcome
+	WriteMask(line mem.LineAddr, core int) WriteMaskOutcome
+	StateOf(line mem.LineAddr, core int) cache.State
+	SharersMask(line mem.LineAddr) uint32
+	Owner(line mem.LineAddr) int
+	CheckInvariants() string
+}
+
+// TestFullWidthEntries32Cores pins the full 32-core width of the sharer
+// masks: the snoop filter's packed entries on the open table and the map
+// reference (regression: a 16-bit mask field silently truncated cores
+// 16-31 and overflowed the owner field), the line-table oracle on both,
+// and the vault view.
 func TestFullWidthEntries32Cores(t *testing.T) {
-	for kind, build := range map[string]func() (*SnoopFilter, *Directory){
-		"open-table": func() (*SnoopFilter, *Directory) {
-			return NewSnoopFilterWithStore(32, OpenTable), NewDirectoryWithStore(32, MOESI, OpenTable)
+	for kind, build := range map[string]func() (*SnoopFilter, fullWidthDirectory){
+		"open-table": func() (*SnoopFilter, fullWidthDirectory) {
+			return NewSnoopFilterWithStore(32, OpenTable), newLineDirectory(32, MOESI, OpenTable)
 		},
-		"map": func() (*SnoopFilter, *Directory) { return newMapSnoopFilter(32), newMapDirectory(32, MOESI) },
+		"map": func() (*SnoopFilter, fullWidthDirectory) {
+			return newMapSnoopFilter(32), newMapLineDirectory(32, MOESI)
+		},
+		"vault-view": func() (*SnoopFilter, fullWidthDirectory) {
+			return newMapSnoopFilter(32), newVaultDir(32, MOESI, 64, 1)
+		},
 	} {
 		f, d := build()
 		l := mem.LineAddr(4096)

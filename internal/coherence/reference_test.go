@@ -6,9 +6,16 @@ import (
 	"repro/internal/mem"
 )
 
-// The slice-returning reference forms of the mask queries. The
-// simulator calls only the mask forms; the tests state the protocol in
+// The slice-returning reference forms of the mask queries, and the
+// directory's holder queries. The simulator calls only the mask forms and
+// reads holders inside its transactions; the tests state the protocol in
 // these readable ones.
+
+// SharersMask returns the holder set of the line as a bit mask.
+func (d *Directory) SharersMask(line mem.LineAddr) uint32 {
+	mask, _, _ := d.holders(line)
+	return mask
+}
 
 // Sharers returns the cores holding the line, in ascending order.
 func (d *Directory) Sharers(line mem.LineAddr) []int {
@@ -17,11 +24,8 @@ func (d *Directory) Sharers(line mem.LineAddr) []int {
 
 // Owner returns the core holding the line in E, M or O, or -1.
 func (d *Directory) Owner(line mem.LineAddr) int {
-	e, ok := d.entries.get(line)
-	if !ok {
-		return -1
-	}
-	return e.owner()
+	_, owner, _ := d.holders(line)
+	return owner
 }
 
 // WriteOutcome describes how a write miss or upgrade is satisfied.
@@ -36,8 +40,8 @@ type WriteOutcome struct {
 }
 
 // Write is the slice-returning reference form of WriteMask.
-func (d *Directory) Write(line mem.LineAddr, requester int) WriteOutcome {
-	out := d.WriteMask(line, requester)
+func (v *vaultDir) Write(line mem.LineAddr, requester int) WriteOutcome {
+	out := v.WriteMask(line, requester)
 	return WriteOutcome{
 		Source:      out.Source,
 		Invalidated: maskToSlice(out.InvalidatedMask),

@@ -6,14 +6,15 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// This file walks both line-table stores exactly — full slabs, not just
-// live entries — so a restored table is field-for-field identical to the
-// one that was checkpointed: same probe chains, same draining-migration
-// position, same growth schedule. That makes the determinism argument
-// trivial (identical state ⇒ identical behaviour) and keeps restore at
-// memcpy speed for the quotient store's raw []uint64 slab, which is the
-// paper-scale configuration. The receiver's store kind is shape: a
-// decode fills the table the live Config built.
+// This file walks the snoop filter's line-table store exactly — full
+// slabs, not just live entries — so a restored table is field-for-field
+// identical to the one that was checkpointed: same probe chains, same
+// draining-migration position, same growth schedule. That makes the
+// determinism argument trivial (identical state ⇒ identical behaviour)
+// and keeps restore at memcpy speed for the quotient store's raw
+// []uint64 slab. The receiver's store kind is shape: a decode fills the
+// table the live Config built. The Directory has no checkpoint walk: its
+// whole state is the vault arrays it views, which the hierarchy walks.
 
 // storeKindOf recovers the concrete StoreKind behind a hotStore.
 func storeKindOf[V lineValue[V]](s hotStore[V]) StoreKind {
@@ -114,19 +115,4 @@ func (f *SnoopFilter) Checkpoint(c *checkpoint.Codec) {
 	checkpoint.Uint(c, &f.Forwards)
 	checkpoint.Uint(c, &f.Invalidations)
 	checkpointStore(c, f.entries)
-}
-
-// Checkpoint walks the directory: stat counters and the exact line-store
-// slab. Protocol and core count are shape.
-func (d *Directory) Checkpoint(c *checkpoint.Codec) {
-	c.Section("coherence.Directory")
-	checkpoint.Shape(c, "coherence.Directory protocol", d.protocol, checkpoint.Uint)
-	checkpoint.Shape(c, "coherence.Directory cores", d.cores, checkpoint.Int)
-	checkpoint.Uint(c, &d.Reads)
-	checkpoint.Uint(c, &d.Writes)
-	checkpoint.Uint(c, &d.Upgrades)
-	checkpoint.Uint(c, &d.Forwards)
-	checkpoint.Uint(c, &d.Invalidations)
-	checkpoint.Uint(c, &d.MemWritebacks)
-	checkpointStore(c, d.entries)
 }

@@ -30,7 +30,7 @@ func driveSnoop(f *SnoopFilter, cores int, ops int) {
 	}
 }
 
-func driveDirectory(d *Directory, cores int, ops int) {
+func driveDirectory(d *vaultDir, cores int, ops int) {
 	rng := sim.NewRNG(11)
 	for i := 0; i < ops; i++ {
 		line := mem.LineAddr(rng.Uint64n(uint64(ops/2)+1) * mem.LineSize)
@@ -87,9 +87,14 @@ func roundTrip(from, into func(*checkpoint.Codec)) error {
 }
 
 func TestSnoopFilterSnapshotRoundTrip(t *testing.T) {
-	for _, kind := range []StoreKind{QuotTable, OpenTable} {
+	for _, tc := range []struct {
+		kind    StoreKind
+		reserve int // lines reserved before filling; 0 grows incrementally
+	}{{QuotTable, 0}, {QuotTable, 4096}, {OpenTable, 0}, {OpenTable, 4096}} {
+		kind := tc.kind
 		cores := 8
 		f := NewSnoopFilterWithStore(cores, kind)
+		f.Reserve(tc.reserve)
 		driveSnoop(f, cores, 3000)
 
 		g := NewSnoopFilterWithStore(cores, kind)
@@ -109,6 +114,10 @@ func TestSnoopFilterSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("%v: line %#x: got %v want %v", kind, line, got[line], v)
 			}
 		}
+		if kind == QuotTable && len(g.entries.fastQ.slots) != len(f.entries.fastQ.slots) {
+			t.Fatalf("%v reserve %d: restored slab %d slots, snapshotted %d",
+				kind, tc.reserve, len(g.entries.fastQ.slots), len(f.entries.fastQ.slots))
+		}
 
 		// The restored filter must behave identically under further
 		// traffic, not just hold the same content: drive both again and
@@ -122,35 +131,35 @@ func TestSnoopFilterSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDirectorySnapshotRoundTrip: the directory keeps no state of its
+// own — its whole state is the vault arrays it views — so a view built
+// over checkpointed-and-restored vaults holds every line in every core's
+// state and behaves exactly as the original under further traffic.
 func TestDirectorySnapshotRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		kind    StoreKind
-		reserve int // lines reserved before filling; 0 grows incrementally
-	}{{QuotTable, 0}, {QuotTable, 4096}, {OpenTable, 0}} {
-		kind := tc.kind
+	for _, g := range viewGeometries {
 		for _, proto := range []Protocol{MOESI, MESI} {
-			cores := 8
-			d := NewDirectoryWithStore(cores, proto, kind)
-			d.Reserve(tc.reserve)
+			const cores = 8
+			d := newVaultDir(cores, proto, g.sets, g.ways)
 			driveDirectory(d, cores, 3000)
 
-			g := NewDirectoryWithStore(cores, proto, kind)
-			if err := roundTrip(d.Checkpoint, g.Checkpoint); err != nil {
-				t.Fatalf("%v/%v: round trip: %v", kind, proto, err)
+			r := newVaultDir(cores, proto, g.sets, g.ways)
+			for c := range d.vaults {
+				if err := roundTrip(d.vaults[c].Checkpoint, r.vaults[c].Checkpoint); err != nil {
+					t.Fatalf("%s/%v: vault %d round trip: %v", g.name, proto, c, err)
+				}
 			}
 			driveDirectory(d, cores, 2000)
-			driveDirectory(g, cores, 2000)
-			if g.Entries() != d.Entries() || g.Reads != d.Reads || g.Writes != d.Writes ||
-				g.Upgrades != d.Upgrades || g.Forwards != d.Forwards ||
-				g.Invalidations != d.Invalidations || g.MemWritebacks != d.MemWritebacks {
-				t.Fatalf("%v/%v: post-restore behaviour diverges", kind, proto)
+			driveDirectory(r, cores, 2000)
+			for l := uint64(0); l <= 1501; l++ {
+				line := mem.LineAddr(l * mem.LineSize)
+				for c := 0; c < cores; c++ {
+					if got, want := r.StateOf(line, c), d.StateOf(line, c); got != want {
+						t.Fatalf("%s/%v: line %#x core %d: restored %v, original %v", g.name, proto, uint64(line), c, got, want)
+					}
+				}
 			}
-			if msg := g.CheckInvariants(); msg != "" {
-				t.Fatalf("%v/%v: restored directory invariants: %s", kind, proto, msg)
-			}
-			if kind == QuotTable && len(g.entries.fastQ.slots) != len(d.entries.fastQ.slots) {
-				t.Fatalf("%v/%v reserve %d: restored slab %d slots, snapshotted %d",
-					kind, proto, tc.reserve, len(g.entries.fastQ.slots), len(d.entries.fastQ.slots))
+			if msg := r.CheckInvariants(); msg != "" {
+				t.Fatalf("%s/%v: restored directory invariants: %s", g.name, proto, msg)
 			}
 		}
 	}

@@ -6,15 +6,16 @@ import (
 	"repro/internal/mem"
 )
 
-// lineStore is the per-line state storage both coherence substrates sit
-// on: a map from line address to an inline value. Two implementations
-// run in production — quotTable (the default fast path:
-// quotient-key-compressed 8 B/slot open addressing, quot.go) and
-// openTable (the full-key 16 B/slot table, also the fallback above
-// quotTable's core-count budget) — and randomized differential tests
-// (differential_test.go) prove a SnoopFilter or Directory built on
-// either returns, operation for operation, what one built on the
-// test-only Go-map reference (mapStore, map_test.go) returns. Iteration
+// lineStore is the per-line state storage the SnoopFilter sits on (the
+// Directory keeps its state in the vault slots instead): a map from line
+// address to an inline value. Two implementations run in production —
+// quotTable (the default fast path: quotient-key-compressed 8 B/slot
+// open addressing, quot.go) and openTable (the full-key 16 B/slot table,
+// also the fallback above quotTable's core-count budget) — and
+// randomized differential tests (differential_test.go) prove a
+// SnoopFilter, or the test-only line-table directory, built on either
+// returns, operation for operation, what one built on the test-only
+// Go-map reference (mapStore, map_test.go) returns. Iteration
 // order of forEach is unspecified for every store, and no simulation
 // result may depend on it (the determinism contract, DESIGN.md §7 and
 // §8).
@@ -49,8 +50,8 @@ type lineStore[V lineValue[V]] interface {
 }
 
 // StoreKind selects a lineStore implementation when constructing a
-// SnoopFilter or Directory. Checkpoints record it as a byte, so the
-// values are part of the format.
+// SnoopFilter. Checkpoints record it as a byte, so the values are part of
+// the format.
 type StoreKind uint8
 
 const (

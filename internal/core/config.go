@@ -9,7 +9,8 @@
 //     cache with perfect miss prediction.
 //   - SILO: all-private hierarchy with one latency-optimized 256 MB
 //     die-stacked DRAM vault per core, inclusive direct-mapped TAD cache,
-//     MOESI duplicate-tag directory embedded in the vaults.
+//     MOESI duplicate-tag directory embedded in the vaults: the vault
+//     tags are the directory, each slot carrying its core's MOESI state.
 //   - SILO-CO: SILO with capacity-optimized 512 MB vaults (32-cycle access).
 //   - Vaults-Sh: latency-optimized vaults organized as a shared
 //     address-interleaved NUCA LLC (isolates the private-organization

@@ -48,8 +48,9 @@ func oraclePrewarm(s *System) {
 }
 
 // cacheImage serialises every cache array of s — tags, states and LRU
-// stamps — so two systems' cache contents compare byte for byte. The
-// line table is left out: its slab layout records how it grew.
+// stamps, and so SILO's directory states — so two systems' cache
+// contents compare byte for byte. A snoop filter's line table is left
+// out: its slab layout records how it grew.
 func cacheImage(s *System) []byte {
 	var levels [][]*cache.Array
 	switch h := s.hier.(type) {
@@ -141,17 +142,17 @@ func TestPrewarmMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPrewarmAllocation: Prewarm allocates the line table once, at its
-// final size, and materialises no footprint. On a 16-core Scale-32
-// WebSearch system SILO's directory reserves 1M 8-byte slots; the
-// Baseline snoop filter's reservation is capped at the private caches'
-// few thousand lines.
+// TestPrewarmAllocation: Prewarm allocates a snoop filter's line table
+// once, at its final size, and materialises no footprint. On a 16-core
+// Scale-32 WebSearch system SILO allocates next to nothing (its
+// directory is the vault slots); the Baseline snoop filter's reservation
+// is capped at the private caches' few thousand lines.
 func TestPrewarmAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		kind  Kind
 		limit uint64
 	}{
-		{SILO, 8<<20 + 64<<10},
+		{SILO, 64 << 10},
 		{Baseline, 256 << 10},
 	} {
 		cfg := quickConfig(tc.kind)

@@ -16,7 +16,9 @@ import (
 // used as an inclusive, direct-mapped, TAD-organized LLC slice. Coherence
 // is a directory protocol (MOESI by default) whose duplicate-tag metadata
 // lives in the vaults: a miss in the local vault consults the line's home
-// vault, which may forward to a remote owner vault or to memory.
+// vault, which may forward to a remote owner vault or to memory. The
+// directory is the vault tags themselves (coherence.Directory): each
+// vault slot carries its core's MOESI state.
 //
 // Access paths (paper Sec. V-C): up to three DRAM accesses may serialize —
 // local vault (miss discovered after the TAD read), directory metadata at
@@ -30,9 +32,9 @@ type privateHierarchy struct {
 	l1i, l1d []*cache.Array
 	l2       []*cache.Array
 
-	vaultArr []*cache.Array // per-core private LLC contents
-	vaults   []*vault.Vault // per-core vault timing
-	dir      *coherence.Directory
+	vaultArr []*cache.Array       // per-core private LLC contents and coherence state
+	vaults   []*vault.Vault       // per-core vault timing
+	dir      *coherence.Directory // the view over vaultArr
 
 	// moesi enables the L1-D ownership cache (see markL1Writable): under
 	// MOESI an owned line stays owned until an invalidation or inclusion
@@ -54,7 +56,6 @@ func newPrivateHierarchy(sys *System) *privateHierarchy {
 		l1d:      make([]*cache.Array, cfg.Cores),
 		vaultArr: make([]*cache.Array, cfg.Cores),
 		vaults:   make([]*vault.Vault, cfg.Cores),
-		dir:      coherence.NewDirectory(cfg.Cores, cfg.Protocol),
 		moesi:    cfg.Protocol == coherence.MOESI,
 		homeDiv:  sim.NewDivisor(uint64(cfg.Cores)),
 	}
@@ -66,6 +67,7 @@ func newPrivateHierarchy(sys *System) *privateHierarchy {
 		h.vaultArr[c] = cache.NewArray(per, cfg.VaultWays, cache.LRU)
 		h.vaults[c] = vault.New(sys.engine, cfg.VaultTiming)
 	}
+	h.dir = coherence.NewDirectory(h.vaultArr, cfg.Protocol)
 	if cfg.L2Size > 0 {
 		h.l2 = make([]*cache.Array, cfg.Cores)
 		for c := 0; c < cfg.Cores; c++ {
@@ -77,20 +79,10 @@ func newPrivateHierarchy(sys *System) *privateHierarchy {
 
 func (h *privateHierarchy) stats() Stats { return h.st }
 
-func (h *privateHierarchy) lineTable() (entries, bytesPerSlot int) {
-	return h.dir.Entries(), h.dir.BytesPerSlot()
-}
-
-// reserve sizes the directory for n lines. The vaults are inclusive
-// and the directory tracks only vault-resident lines, so it never holds
-// more than the vaults' total line count.
-func (h *privateHierarchy) reserve(n int) {
-	vaultLines := 0
-	for _, v := range h.vaultArr {
-		vaultLines += int(v.SizeBytes() / mem.LineSize)
-	}
-	h.dir.Reserve(min(n, vaultLines))
-}
+// lineTable and reserve have nothing to report or size: the directory
+// keeps its state in the vault slots, not in a line table.
+func (h *privateHierarchy) lineTable() (entries, bytesPerSlot int) { return 0, 0 }
+func (h *privateHierarchy) reserve(int)                            {}
 
 // homeOf address-interleaves directory homes across the vaults (paper
 // Sec. V-B: physically distributed, address-interleaved directory).
@@ -249,11 +241,12 @@ func (h *privateHierarchy) localWriteHit(core int, line mem.LineAddr, rwShared, 
 	return h.vaults[core].Access(line)
 }
 
-// fillVaultAt installs a line its vault Probe just missed, maintaining
-// inclusion (back-invalidating the victim from the upper levels) and the
-// directory (evictions notify the home; dirty victims write back).
-func (h *privateHierarchy) fillVaultAt(core int, line mem.LineAddr, timing bool) {
-	_, ev, evicted := h.vaultArr[core].InsertAt(line, cache.Shared)
+// fillVaultAt installs a line its vault Probe just missed in the state
+// the directory gave it, maintaining inclusion (back-invalidating the
+// victim from the upper levels); a victim that was a dirty owner (M or
+// O) writes back.
+func (h *privateHierarchy) fillVaultAt(core int, line mem.LineAddr, st cache.State, timing bool) {
+	_, ev, evicted := h.vaultArr[core].InsertAt(line, st)
 	if !evicted {
 		return
 	}
@@ -263,8 +256,7 @@ func (h *privateHierarchy) fillVaultAt(core int, line mem.LineAddr, timing bool)
 	if h.l2 != nil {
 		h.l2[core].Invalidate(ev.Line)
 	}
-	out := h.dir.Evict(ev.Line, core)
-	if out.MemWriteback {
+	if ev.Dirty() {
 		h.st.MemWritebacks++
 		if timing {
 			h.sys.mainMem.Writeback(ev.Line)
@@ -332,7 +324,7 @@ func (h *privateHierarchy) readVaultPath(core int, line mem.LineAddr, rwShared, 
 		}
 	}
 
-	h.fillVaultAt(core, line, timing)
+	h.fillVaultAt(core, line, out.FillState, timing)
 	return lat
 }
 
@@ -387,9 +379,10 @@ func (h *privateHierarchy) writeVaultPath(core int, line mem.LineAddr, rwShared,
 
 	switch {
 	case out.Upgrade:
-		// Upgrades only happen on lines the vault already holds Shared
-		// (duplicate-tag mirror), and peer invalidations never touch the
-		// requester's set, so the probed way is still valid.
+		// Upgrades only happen on lines the vault already holds Shared,
+		// the directory has made the slot Modified, and peer
+		// invalidations never touch the requester's vault, so the probed
+		// way is still valid.
 		h.st.Upgrades++
 		h.st.LocalHits++
 		h.vaultArr[core].TouchWay(w)
@@ -399,14 +392,14 @@ func (h *privateHierarchy) writeVaultPath(core int, line mem.LineAddr, rwShared,
 		if timing {
 			lat += h.sys.mainMem.Access(line) + h.sys.mesh.Latency(home, core)
 		}
-		h.fillVaultAt(core, line, timing)
+		h.fillVaultAt(core, line, cache.Modified, timing)
 	default:
 		h.st.RemoteHits++
 		h.st.Forwards++
 		if timing {
 			lat += h.sys.mesh.Latency(home, out.Source) + h.sys.mesh.Latency(out.Source, core)
 		}
-		h.fillVaultAt(core, line, timing)
+		h.fillVaultAt(core, line, cache.Modified, timing)
 	}
 	return lat
 }
@@ -427,23 +420,14 @@ func (h *privateHierarchy) insertL2(core int, line mem.LineAddr) {
 	h.l2[core].InsertAt(line, cache.Shared)
 }
 
-// check validates the duplicate-tag invariant: the directory's view of each
-// core's holdings exactly mirrors the vault contents.
+// check validates the directory's states (coherence.Directory.
+// CheckInvariants) and inclusion above the vaults.
 func (h *privateHierarchy) check() string {
 	if msg := h.dir.CheckInvariants(); msg != "" {
 		return msg
 	}
 	for c := 0; c < h.sys.cfg.Cores; c++ {
-		c := c
 		bad := ""
-		h.vaultArr[c].ForEach(func(line mem.LineAddr, _ cache.State) {
-			if bad == "" && !h.dir.StateOf(line, c).Valid() {
-				bad = fmt.Sprintf("core %d vault holds %#x unknown to directory", c, uint64(line))
-			}
-		})
-		if bad != "" {
-			return bad
-		}
 		// Inclusion: every L1-D line is in the vault. The ownership cache
 		// (markL1Writable) additionally requires that an L1-D line marked
 		// Modified is still owned at the vault level — a stale mark would
@@ -452,15 +436,14 @@ func (h *privateHierarchy) check() string {
 			if bad != "" {
 				return
 			}
-			if !h.vaultArr[c].Contains(line) {
+			ds := h.dir.StateOf(line, c)
+			if !ds.Valid() {
 				bad = fmt.Sprintf("core %d L1D holds %#x outside its vault (inclusion broken)", c, uint64(line))
 				return
 			}
-			if st == cache.Modified {
-				if ds := h.dir.StateOf(line, c); ds != cache.Modified && ds != cache.Owned {
-					bad = fmt.Sprintf("core %d L1D marks %#x writable but directory state is %v (stale ownership cache)",
-						c, uint64(line), ds)
-				}
+			if st == cache.Modified && ds != cache.Modified && ds != cache.Owned {
+				bad = fmt.Sprintf("core %d L1D marks %#x writable but directory state is %v (stale ownership cache)",
+					c, uint64(line), ds)
 			}
 		})
 		if bad != "" {

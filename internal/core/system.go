@@ -28,10 +28,11 @@ type hierarchy interface {
 	// stats returns the current counter values.
 	stats() Stats
 	// lineTable reports the coherence line-table occupancy: live entries
-	// and the store's inline bytes per slot.
+	// and the store's inline bytes per slot (0, 0 for SILO, whose
+	// directory is the vault slots).
 	lineTable() (entries, bytesPerSlot int)
 	// reserve sizes the empty line table for n distinct lines, capped at
-	// the most lines the table can mirror at once.
+	// the most lines the table can mirror at once (a no-op for SILO).
 	reserve(n int)
 	// check validates internal invariants, returning "" when healthy.
 	check() string
@@ -235,8 +236,8 @@ func (s *System) CheckInvariants() string { return s.hier.check() }
 
 // LineTable reports the coherence line-table occupancy — live entries and
 // inline bytes per slot — so benchmarks can record the table regime
-// they measured (the multi-GB paper-scale footprints the compact-slot
-// stores target, DESIGN.md §8).
+// they measured (DESIGN.md §8). Only a shared hierarchy's snoop filter
+// keeps one; a SILO system reports 0, 0.
 func (s *System) LineTable() (entries, bytesPerSlot int) { return s.hier.lineTable() }
 
 // Prewarm seeds steady-state cache contents analytically: each core's
@@ -244,9 +245,9 @@ func (s *System) LineTable() (entries, bytesPerSlot int) { return s.hier.lineTab
 // middle and secondary sets, shared pool) are replayed once through the
 // functional access path, interleaved across cores in chunks so shared
 // structures see realistic contention. The walk streams the regions
-// through one cursor per core, and the line table is sized once for
-// the footprint beforehand, so neither an address list nor table growth
-// is paid for (DESIGN.md §8). Run this before WarmFunctional; together
+// through one cursor per core, and a snoop filter's line table is sized
+// once for the footprint beforehand, so neither an address list nor
+// table growth is paid for (DESIGN.md §8). Run this before WarmFunctional; together
 // they substitute for the paper's warmed checkpoints.
 func (s *System) Prewarm() {
 	if s.started {
