@@ -287,16 +287,17 @@ func BenchmarkSchedulerProbeCalendar(b *testing.B) {
 }
 
 // arrayProbe drives cache.Array through the simulator's canonical access
-// mix — a hot L1-shaped array (mostly hits: probe + touch) and a large
-// direct-mapped vault-shaped array (the SILO LLC slice: probe, then fill
-// on miss) — and returns the accesses performed.
+// mix — a hot L1-shaped array (mostly hits: probe + touch) and the
+// direct-mapped vaults of a 16-core Scale-32 SILO system, one set-major
+// group of packed slots (the SILO LLC slices: probe, then fill on miss,
+// rotating over the cores) — and returns the accesses performed.
 func arrayProbe() uint64 {
 	const ops = 1 << 20
-	l1 := cache.NewArray(2<<10, 8, cache.LRU)    // scaled L1 shape
-	vault := cache.NewArray(8<<20, 1, cache.LRU) // scaled 256MB vault at Scale 32
+	l1 := cache.NewArray(2<<10, 8, cache.LRU)                  // scaled L1 shape
+	vaults := cache.NewGroup(16, 8<<20, 1, cache.LRU).Arrays() // scaled 256MB vaults at Scale 32
 	rng := sim.NewRNG(0x5EED)
 	l1Lines := uint64(l1.SizeBytes()/mem.LineSize) * 2 // 2x capacity: conflicts
-	vaultLines := uint64(vault.SizeBytes()/mem.LineSize) * 2
+	vaultLines := uint64(vaults[0].SizeBytes()/mem.LineSize) * 2
 	for i := 0; i < ops; i++ {
 		if i%4 != 0 {
 			// L1 traffic: hit-dominated probe+touch, insert on miss.
@@ -308,6 +309,7 @@ func arrayProbe() uint64 {
 			}
 		} else {
 			// Vault traffic: direct-mapped probe, streaming fills demoted.
+			vault := vaults[i/4%len(vaults)]
 			line := mem.LineAddr(rng.Uint64n(vaultLines) * mem.LineSize)
 			if w := vault.Probe(line); w != cache.NoWay {
 				vault.TouchWay(w)
@@ -323,7 +325,7 @@ func arrayProbe() uint64 {
 }
 
 // BenchmarkArrayProbe times the cache-array fast path on the canonical L1 +
-// direct-mapped-vault access mix (arrayProbe).
+// direct-mapped-vault-group access mix (arrayProbe).
 func BenchmarkArrayProbe(b *testing.B) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
@@ -411,17 +413,16 @@ func BenchmarkStreamProbeSerial(b *testing.B)  { benchStreamProbe(b, false) }
 func BenchmarkStreamProbeBatched(b *testing.B) { benchStreamProbe(b, true) }
 
 // BenchmarkDirectoryOps measures the duplicate-tag directory's hot path,
-// the allocation-free calls the SILO hierarchy makes, over 16
-// direct-mapped vaults of 4-byte slots: a read-share-write-evict cycle,
-// with the fills, peer invalidations and evictions the hierarchy
-// performs around the directory.
+// the allocation-free calls the SILO hierarchy makes, over a group of 16
+// direct-mapped vaults of packed slots, built as the SILO hierarchy
+// builds it: a read-share-write-evict cycle, with the fills, peer
+// invalidations and evictions the hierarchy performs around the
+// directory.
 func BenchmarkDirectoryOps(b *testing.B) {
 	const cores, sets = 16, 4096
-	vaults := make([]*cache.Array, cores)
-	for c := range vaults {
-		vaults[c] = cache.NewArray(sets*mem.LineSize, 1, cache.LRU)
-	}
-	d := coherence.NewDirectory(vaults, coherence.MOESI)
+	g := cache.NewGroup(cores, sets*mem.LineSize, 1, cache.LRU)
+	vaults := g.Arrays()
+	d := coherence.NewDirectory(g, coherence.MOESI)
 	for i := 0; i < b.N; i++ {
 		// One line per set, so fills never evict.
 		line := mem.LineAddr(uint64(i%sets) * mem.LineSize)

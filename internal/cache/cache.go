@@ -4,20 +4,24 @@
 //
 // The array is purely functional (no timing); hierarchy levels own an Array
 // and add their latency and protocol behaviour on top. This split keeps the
-// protocol logic testable without a simulation clock.
+// protocol logic testable without a clock.
 //
 // One API addresses the storage: the Way-handle methods (Probe,
 // ProbeTouch, WayState, TouchWay, SetStateWay, InsertAt, DemoteWay), one
 // Probe per access and O(1) mutators after it, plus the line-addressed
-// conveniences Contains and Invalidate built on them. The slot word
-// follows from the geometry: 8 bytes with an in-word recency stamp, or 4
-// bytes for a large direct-mapped array (the paper-scale vaults). A
-// randomized differential test (differential_test.go) drives the API on
-// both layouts against a line-addressed reference layer, kept in that
-// test file, and a naive map-of-sets model.
+// conveniences Contains and Invalidate built on them. The slot follows
+// from the geometry: an associative array stores an 8-byte word with an
+// in-word recency stamp, and a direct-mapped array packs each slot into
+// exactly the bits it needs. Like-shaped arrays — SILO's per-core vaults —
+// can share one set-major slab as a Group, so a line's slots in every
+// member are adjacent (Group.Row). A randomized differential test
+// (differential_test.go) drives the API on both layouts, lone and
+// grouped, against a line-addressed reference layer, kept in that test
+// file, and a naive map-of-sets model.
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -74,8 +78,8 @@ const (
 	RandomRepl
 )
 
-// Slot-word encoding: each way is one uint64 packing validity, coherence
-// state, LRU recency and tag —
+// Slot-word encoding of an associative array: each way is one uint64
+// packing validity, coherence state, LRU recency and tag —
 //
 //	bit  0      valid
 //	bits 1-3    State
@@ -87,7 +91,7 @@ const (
 // simulated 8-way geometries. Folding the stamp into the word (instead of
 // the former side slice) removes the second line a hit used to dirty. The
 // 40-bit tag field bounds addresses to 2^46 B, far above the workload
-// address map's 2^42 ceiling (internal/workload); place() enforces it.
+// address map's 2^42 ceiling (internal/workload); InsertAt enforces it.
 //
 // Stamps are set-local, drawn from a per-set counter (setTick, a dense
 // uint32 per set — 16x smaller than the former per-slot stamp slice and
@@ -105,24 +109,26 @@ const (
 	slotStampMax   = 1<<slotStampBits - 1
 	slotStampMask  = uint64(slotStampMax) << slotStampShift
 	slotTagShift   = slotStampShift + slotStampBits
-	maxSlotTag     = 1<<(64-slotTagShift) - 1
+	tagBits        = 64 - slotTagShift
+	maxSlotTag     = 1<<tagBits - 1
 )
 
-// A direct-mapped array of at least dmMinSets sets stores one uint32 per
-// set instead —
+// A direct-mapped array packs each slot into exactly
+// width = tagBits - log2(sets) + packedStateBits bits, at most 43 —
 //
-//	bit  0      valid
-//	bits 1-3    State (the same bits as the 8-byte word)
-//	bits 4-31   the tag's bits outside the set index: those above it,
+//	bits 0-2    State (Invalid = 0: an empty slot; there is no valid bit)
+//	bits 3-     the tag's bits outside the set index: those above it,
 //	            then the bank bits below it (NewBankedArray)
 //
 // It never reads a recency stamp, and the slot position gives the set
-// index back, so the tag needs 40 - log2(sets) bits: at most 28 from
-// 4096 sets up, which covers every tag place() admits. Smaller
-// direct-mapped arrays keep the 8-byte word, whose tag does not fit.
+// index back. Slot i sits at bits i·width upward of a little-endian byte
+// slab, so it may straddle two 64-bit words, but it always lies within
+// the 8 bytes from byte i·width/8 (7 + 43 bits < 64): every read and write
+// is one unaligned 8-byte load or store. The slab is ceil(slots·width/64)
+// words plus one padding word, which keeps those 8 bytes in bounds.
 const (
-	dmTagShift = 4
-	dmMinSets  = 1 << (64 - slotTagShift - (32 - dmTagShift))
+	packedStateBits = 3
+	packedStateMask = 1<<packedStateBits - 1
 )
 
 func packSlot(t uint64, st State) uint64 { return t<<slotTagShift | uint64(st)<<1 | slotValid }
@@ -131,7 +137,16 @@ func slotState(v uint64) State  { return State((v & slotStateMask) >> 1) }
 func slotTag(v uint64) uint64   { return v >> slotTagShift }
 func slotStamp(v uint64) uint64 { return v >> slotStampShift & slotStampMax }
 
-// Array is a set-associative cache tag/state array.
+// packedBytes is the slab length of n packed slots of width bits:
+// ceil(n·width/64) words plus the padding word, in bytes.
+func packedBytes(n int, width uint) int { return 8 * ((n*int(width)+63)/64 + 1) }
+
+// packedHolds reports whether packed slot v holds the tag of key word kw
+// (a packed tag with a zero state): v is kw plus a state in 1..7.
+func packedHolds(v, kw uint64) bool { return v-kw-1 < packedStateMask }
+
+// Array is a set-associative cache tag/state array: a lone array, or one
+// member of a Group whose slab it shares.
 type Array struct {
 	sets   int
 	ways   int
@@ -144,18 +159,28 @@ type Array struct {
 	// recency, and RandomRepl never consults it, so both skip the stamp
 	// maintenance (and its stores) entirely.
 	lru bool
-	// wayShift is log2(ways) when ways is a power of two (the hot
-	// way-index-to-set-index shift), else -1 and the slow divide is used.
-	wayShift int
 
-	// slots holds the packed tag/state/stamp words, sets*ways, set-major;
-	// 0 marks an empty slot. Nil when dm holds the array.
-	slots []uint64
+	// The slots of every member of the array's group (a lone array is a
+	// group of one) live in one slab, set-major: row s is set s of member
+	// 0, then of member 1, and so on. n is the group's size and member
+	// this array's place in it.
+	n, member int
 
-	// dm holds the 4-byte words of a direct-mapped array of at least
-	// dmMinSets sets, one per set (0 = empty); nil otherwise. setBits is
-	// log2(sets), the index width the words leave out.
-	dm      []uint32
+	// The 8-byte layout (associative arrays): slab holds the words. Row s
+	// is row = n·ways words, and this member's set s starts at word
+	// s·row + off. A Way is a word index. rowShift is log2(row) when row
+	// is a power of two (the hot way-to-set shift), else -1 and the slow
+	// divide is used.
+	slab               []uint64
+	row, off, rowShift int
+
+	// The packed layout (direct-mapped arrays; nil packed otherwise):
+	// width bits per slot (mask selects them), this member's set s in
+	// slot s·n + member, which is its Way. setBits is log2(sets), the
+	// index width the slots leave out.
+	packed  []byte
+	width   uint
+	mask    uint64
 	setBits uint
 
 	// setTick holds each set's stamp counter (nil unless lru): the next
@@ -188,6 +213,30 @@ func NewBankedArray(sizeBytes int64, ways int, policy Policy, bankBits uint) *Ar
 // NewArray builds an array of the given total size in bytes. Size must be a
 // multiple of ways*mem.LineSize and the resulting set count a power of two.
 func NewArray(sizeBytes int64, ways int, policy Policy) *Array {
+	return NewGroup(1, sizeBytes, ways, policy).arrays[0]
+}
+
+// MaxGroup bounds a Group's size: Row reports its members as a uint32
+// mask.
+const MaxGroup = 32
+
+// Group is n like-shaped arrays stored as one set-major matrix: member c's
+// set s is slot s·n + c of one slab (ways consecutive words per member in
+// the 8-byte layout), so a line's slots in all n members are adjacent —
+// one or two host cache lines for SILO's 16 direct-mapped vaults. Each
+// member is an ordinary Array with its own occupancy, recency counters
+// and way hints. Every member shares the geometry, so a Key derived on
+// any member probes every other member.
+type Group struct {
+	arrays []*Array
+}
+
+// NewGroup builds n arrays of the given size, ways and policy (NewArray's
+// rules) over one slab. n must lie in [1, MaxGroup].
+func NewGroup(n int, sizeBytes int64, ways int, policy Policy) *Group {
+	if n < 1 || n > MaxGroup {
+		panic(fmt.Sprintf("cache: group of %d arrays outside [1,%d]", n, MaxGroup))
+	}
 	if ways <= 0 {
 		panic("cache: non-positive ways")
 	}
@@ -202,31 +251,130 @@ func NewArray(sizeBytes int64, ways int, policy Policy) *Array {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
 	}
-	wayShift := -1
-	if ways&(ways-1) == 0 {
-		wayShift = ilog2(uint64(ways))
-	}
-	a := &Array{
+	setBits := uint(ilog2(uint64(sets)))
+	proto := Array{
 		sets:     int(sets),
 		ways:     ways,
 		policy:   policy,
 		lru:      policy == LRU && ways > 1,
-		wayShift: wayShift,
-		setBits:  uint(ilog2(uint64(sets))),
+		n:        n,
+		row:      n * ways,
+		rowShift: log2Exact(n * ways),
+		setBits:  setBits,
 		rndst:    0x9E3779B97F4A7C15,
 	}
-	if ways == 1 && sets >= dmMinSets {
-		a.dm = make([]uint32, sets)
+	if ways == 1 {
+		proto.width = tagBits - setBits + packedStateBits
+		proto.mask = 1<<proto.width - 1
+		proto.packed = make([]byte, packedBytes(n*int(sets), proto.width))
 	} else {
-		a.slots = make([]uint64, lines)
+		proto.slab = make([]uint64, int64(n)*lines)
 	}
-	if a.lru {
-		a.setTick = make([]uint32, sets)
+	g := &Group{arrays: make([]*Array, n)}
+	for c := range g.arrays {
+		a := proto
+		a.member, a.off = c, c*ways
+		if a.lru {
+			a.setTick = make([]uint32, sets)
+		}
+		if ways > 1 {
+			a.hint = make([]uint8, sets)
+		}
+		g.arrays[c] = &a
 	}
-	if ways > 1 {
-		a.hint = make([]uint8, sets)
+	return g
+}
+
+// log2Exact returns log2(v) for a power of two v, else -1.
+func log2Exact(v int) int {
+	if v&(v-1) != 0 {
+		return -1
 	}
-	return a
+	return ilog2(uint64(v))
+}
+
+// Arrays returns the members, member c at index c.
+func (g *Group) Arrays() []*Array { return g.arrays }
+
+// KeyOf derives line's Key in the members' geometry.
+func (g *Group) KeyOf(line mem.LineAddr) Key { return g.arrays[0].KeyOf(line) }
+
+// Row reads set k.set of every member in one pass over the adjacent
+// slots: it returns the mask of members holding k's line (bit c: member
+// c) and writes each holder's state to st[c], leaving the other entries
+// as they were.
+func (g *Group) Row(k Key, st *[MaxGroup]State) (mask uint32) {
+	a := g.arrays[0]
+	if a.packed == nil {
+		base := k.set * a.row
+		for i, v := range a.slab[base : base+a.row] {
+			if v&^(slotStateMask|slotStampMask) == k.word {
+				c := i / a.ways
+				mask |= 1 << uint(c)
+				st[c] = slotState(v)
+			}
+		}
+		return mask
+	}
+	p, kw, w, m := a.packed, k.word, a.width, a.mask
+	hold := func(c int, v uint64) {
+		if packedHolds(v, kw) {
+			mask |= 1 << (c & (MaxGroup - 1))
+			st[c&(MaxGroup-1)] = State(v & packedStateMask)
+		}
+	}
+	o := uint(k.set*a.n) * w
+	c := 0
+	if 2*w+7 <= 64 {
+		// Two slots per 8-byte load.
+		for ; c+1 < a.n; c += 2 {
+			x := binary.LittleEndian.Uint64(p[o/8:]) >> (o % 8)
+			hold(c, x&m)
+			hold(c+1, x>>w&m)
+			o += 2 * w
+		}
+	}
+	for ; c < a.n; c++ {
+		hold(c, binary.LittleEndian.Uint64(p[o/8:])>>(o%8)&m)
+		o += w
+	}
+	return mask
+}
+
+// Slot is one valid slot of a group row: the member holding it, its line
+// and its state.
+type Slot struct {
+	Member int
+	Line   mem.LineAddr
+	State  State
+}
+
+// ForEachRow calls fn for every set in which any member holds a line,
+// set by set, with the set's valid slots in member order (way order
+// within a member), until fn returns false. fn must not mutate the group
+// or keep row.
+func (g *Group) ForEachRow(fn func(row []Slot) bool) {
+	a := g.arrays[0]
+	buf := make([]Slot, 0, a.row)
+	for s := range a.sets {
+		row := buf[:0]
+		if a.packed == nil {
+			for i, v := range a.slab[s*a.row : (s+1)*a.row] {
+				if v&slotValid != 0 {
+					row = append(row, Slot{i / a.ways, lineAddr(slotTag(v)), slotState(v)})
+				}
+			}
+		} else {
+			for c := range a.n {
+				if v := a.get(s*a.n + c); v&packedStateMask != 0 {
+					row = append(row, Slot{c, a.packedLine(v, s), State(v & packedStateMask)})
+				}
+			}
+		}
+		if len(row) > 0 && !fn(row) {
+			return
+		}
+	}
 }
 
 // SizeBytes returns the total capacity.
@@ -246,18 +394,24 @@ func (a *Array) set(line mem.LineAddr) int {
 	return int((tag(line) >> a.shift) & uint64(a.sets-1))
 }
 
-// packDM builds the 4-byte word for tag t and state st.
-func (a *Array) packDM(t uint64, st State) uint32 { return a.dmTag(t) | uint32(st)<<1 | slotValid }
+// base returns the word index of way 0 of set s in the 8-byte layout.
+func (a *Array) base(s int) int { return s*a.row + a.off }
 
-// dmTag places tag t in the 4-byte word: the set-index bits dropped, the
-// bank bits below them kept.
-func (a *Array) dmTag(t uint64) uint32 {
-	return uint32((t>>(a.shift+a.setBits)<<a.shift | t&(1<<a.shift-1)) << dmTagShift)
+// get reads packed slot i.
+func (a *Array) get(i int) uint64 {
+	o := uint(i) * a.width
+	return binary.LittleEndian.Uint64(a.packed[o/8:]) >> (o % 8) & a.mask
 }
 
-// dmLine rebuilds the line address held by word v of set s.
-func (a *Array) dmLine(v uint32, s int) mem.LineAddr {
-	kept := uint64(v >> dmTagShift)
+// packedTag places tag t in a packed slot with a zero state: the
+// set-index bits dropped, the bank bits below them kept.
+func (a *Array) packedTag(t uint64) uint64 {
+	return (t>>(a.shift+a.setBits)<<a.shift | t&(1<<a.shift-1)) << packedStateBits
+}
+
+// packedLine rebuilds the line address held by packed slot v of set s.
+func (a *Array) packedLine(v uint64, s int) mem.LineAddr {
+	kept := v >> packedStateBits
 	return lineAddr(kept>>a.shift<<(a.shift+a.setBits) | uint64(s)<<a.shift | kept&(1<<a.shift-1))
 }
 
@@ -275,11 +429,13 @@ const NoWay Way = -1
 // or NoWay when absent. It does not update recency; pair with TouchWay.
 func (a *Array) Probe(line mem.LineAddr) Way { return a.ProbeKey(a.KeyOf(line)) }
 
-// Key is a line's set index and its slot word with the state bits clear,
-// as one geometry stores them. KeyOf derives it once, and ProbeKey probes
-// any array of the same geometry (SameGeometry) with it, so a caller that
-// reads one line's set in many like-shaped arrays — the coherence
-// directory reading every vault — derives neither per array.
+// Key is a line's set index and its slot with the state (and stamp) bits
+// clear, as one geometry stores them. KeyOf derives it once; ProbeKey
+// probes any member of the deriving array's group with it, and Group.Row
+// all of them, so a caller that reads one line's set in many members —
+// the coherence directory reading every vault — derives neither per
+// member. A Key carries no member: it is the same whichever member
+// derived it.
 type Key struct {
 	set  int
 	word uint64
@@ -289,36 +445,29 @@ type Key struct {
 func (a *Array) KeyOf(line mem.LineAddr) (k Key) {
 	t := tag(line)
 	k.set = int(t >> a.shift & uint64(a.sets-1))
-	if a.dm == nil {
+	if a.packed == nil {
 		k.word = t<<slotTagShift | slotValid
 	} else {
-		k.word = uint64(a.dmTag(t) | slotValid)
+		k.word = a.packedTag(t)
 	}
 	return k
 }
 
-// ProbeKey is Probe for a Key derived on an array of this geometry. It
-// inlines into its caller.
+// ProbeKey is Probe for a Key derived on a member of this array's group.
 func (a *Array) ProbeKey(k Key) Way {
-	if a.dm != nil {
-		if uint64(a.dm[k.set]&^slotStateMask) == k.word {
-			return Way(k.set)
+	if a.packed != nil {
+		if i := k.set*a.n + a.member; packedHolds(a.get(i), k.word) {
+			return Way(i)
 		}
 		return NoWay
 	}
-	base := k.set * a.ways
-	for w, v := range a.slots[base : base+a.ways] {
+	base := a.base(k.set)
+	for w, v := range a.slab[base : base+a.ways] {
 		if v&^(slotStateMask|slotStampMask) == k.word {
 			return Way(base + w)
 		}
 	}
 	return NoWay
-}
-
-// SameGeometry reports whether b has a's sets, ways and set-index shift,
-// so a Key derived on either probes both.
-func (a *Array) SameGeometry(b *Array) bool {
-	return a.sets == b.sets && a.ways == b.ways && a.shift == b.shift
 }
 
 // ProbeTouch finds the line and marks it most recently used in the same
@@ -327,29 +476,29 @@ func (a *Array) SameGeometry(b *Array) bool {
 // the scan's set index and slot word, so a hit costs one pass and (on LRU
 // arrays) one counter bump instead of a second probe-and-divide.
 func (a *Array) ProbeTouch(line mem.LineAddr) Way {
-	if a.dm != nil {
+	if a.packed != nil {
 		return a.Probe(line) // no hint and no recency to update
 	}
 	t := uint64(line) / mem.LineSize
 	s := int(t >> a.shift & uint64(a.sets-1))
-	base := s * a.ways
+	base := a.base(s)
 	want := t<<slotTagShift | slotValid
 	if a.hint != nil {
 		// Most hits repeat the set's last hit or fill: check that way
 		// before scanning (the tag compare makes a stale hint harmless).
-		if w := base + int(a.hint[s]); a.slots[w]&^(slotStateMask|slotStampMask) == want {
+		if w := base + int(a.hint[s]); a.slab[w]&^(slotStateMask|slotStampMask) == want {
 			if a.lru {
 				c := uint64(a.setTick[s]) + 1
 				if c > slotStampMax {
 					c = a.renormSet(base) + 1
 				}
 				a.setTick[s] = uint32(c)
-				a.slots[w] = a.slots[w]&^slotStampMask | c<<slotStampShift
+				a.slab[w] = a.slab[w]&^slotStampMask | c<<slotStampShift
 			}
 			return Way(w)
 		}
 	}
-	for w, v := range a.slots[base : base+a.ways] {
+	for w, v := range a.slab[base : base+a.ways] {
 		if v&^(slotStateMask|slotStampMask) == want {
 			idx := base + w
 			if a.hint != nil {
@@ -361,7 +510,7 @@ func (a *Array) ProbeTouch(line mem.LineAddr) Way {
 					c = a.renormSet(base) + 1
 				}
 				a.setTick[s] = uint32(c)
-				a.slots[idx] = a.slots[idx]&^slotStampMask | c<<slotStampShift
+				a.slab[idx] = a.slab[idx]&^slotStampMask | c<<slotStampShift
 			}
 			return Way(idx)
 		}
@@ -371,10 +520,10 @@ func (a *Array) ProbeTouch(line mem.LineAddr) Way {
 
 // WayState returns the coherence state of the probed slot.
 func (a *Array) WayState(w Way) State {
-	if a.dm != nil {
-		return slotState(uint64(a.dm[w]))
+	if a.packed != nil {
+		return State(a.get(int(w)) & packedStateMask)
 	}
-	return slotState(a.slots[w])
+	return slotState(a.slab[w])
 }
 
 // TouchWay marks the probed slot most recently used. Direct-mapped and
@@ -392,15 +541,15 @@ func (a *Array) TouchWay(w Way) {
 // stampMRU stamps one slot of an LRU set most recently used.
 func (a *Array) stampMRU(w Way) {
 	st := a.nextStamp(a.setIndex(w))
-	a.slots[w] = a.slots[w]&^slotStampMask | st<<slotStampShift
+	a.slab[w] = a.slab[w]&^slotStampMask | st<<slotStampShift
 }
 
-// setIndex returns the set number of the slot holding way w.
+// setIndex returns the set number of the 8-byte-layout slot holding way w.
 func (a *Array) setIndex(w Way) int {
-	if a.wayShift >= 0 {
-		return int(w) >> a.wayShift
+	if a.rowShift >= 0 {
+		return int(w) >> a.rowShift
 	}
-	return int(w) / a.ways
+	return int(w) / a.row
 }
 
 // nextStamp advances set s's counter and returns the stamp to write: the
@@ -409,7 +558,7 @@ func (a *Array) setIndex(w Way) int {
 func (a *Array) nextStamp(s int) uint64 {
 	c := uint64(a.setTick[s]) + 1
 	if c > slotStampMax {
-		c = a.renormSet(s*a.ways) + 1
+		c = a.renormSet(a.base(s)) + 1
 	}
 	a.setTick[s] = uint32(c)
 	return c
@@ -429,7 +578,7 @@ func (a *Array) renormSet(base int) uint64 {
 	for k := 0; k < a.ways; k++ {
 		// Invalid slots are all-zero words, so their stamp reads 0 and they
 		// are skipped below.
-		old[k] = slotStamp(a.slots[base+k])
+		old[k] = slotStamp(a.slab[base+k])
 	}
 	m := uint64(0)
 	for k := 0; k < a.ways; k++ {
@@ -443,7 +592,7 @@ func (a *Array) renormSet(base int) uint64 {
 				rank++
 			}
 		}
-		a.slots[base+k] = a.slots[base+k]&^slotStampMask | rank<<slotStampShift
+		a.slab[base+k] = a.slab[base+k]&^slotStampMask | rank<<slotStampShift
 		if rank > m {
 			m = rank
 		}
@@ -457,18 +606,23 @@ func (a *Array) renormSet(base int) uint64 {
 func (a *Array) SetStateWay(w Way, st State) {
 	if st == Invalid {
 		a.occupied--
-		if a.dm != nil {
-			a.dm[w] = 0
-		} else {
-			a.slots[w] = 0
+	}
+	if a.packed != nil {
+		// A new state replaces the state bits; Invalid clears the slot.
+		drop := uint64(packedStateMask)
+		if st == Invalid {
+			drop = a.mask
 		}
+		o := uint(w) * a.width
+		b := a.packed[o/8:]
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)&^(drop<<(o%8))|uint64(st)<<(o%8))
 		return
 	}
-	if a.dm != nil {
-		a.dm[w] = a.dm[w]&^slotStateMask | uint32(st)<<1
+	if st == Invalid {
+		a.slab[w] = 0
 		return
 	}
-	a.slots[w] = a.slots[w]&^slotStateMask | uint64(st)<<1
+	a.slab[w] = a.slab[w]&^slotStateMask | uint64(st)<<1
 }
 
 // DemoteWay moves the probed slot to LRU priority: it becomes the set's
@@ -480,7 +634,7 @@ func (a *Array) SetStateWay(w Way, st State) {
 // direct-mapped and RandomRepl arrays, where recency is never consulted.
 func (a *Array) DemoteWay(w Way) {
 	if a.lru {
-		a.slots[w] &^= slotStampMask
+		a.slab[w] &^= slotStampMask
 	}
 }
 
@@ -507,58 +661,57 @@ func (a *Array) InsertAt(line mem.LineAddr, st State) (w Way, ev Eviction, evict
 	if !st.Valid() {
 		panic("cache: inserting invalid state")
 	}
-	s := a.set(line)
-	victim := -1
-	if a.dm != nil {
-		if a.dm[s] == 0 {
-			victim = 0
-		}
-	} else {
-		base := s * a.ways
-		for i, v := range a.slots[base : base+a.ways] {
-			if v == 0 {
-				victim = i
-				break
-			}
-		}
-	}
-	return a.place(s, victim, tag(line), st)
-}
-
-// place fills the chosen way (or the policy victim when victim < 0) and
-// maintains occupancy, recency and the eviction report.
-func (a *Array) place(s, victim int, t uint64, st State) (w Way, ev Eviction, evicted bool) {
+	t := tag(line)
 	if t > maxSlotTag {
 		panic(fmt.Sprintf("cache: line tag %#x exceeds the %d-bit packed-slot tag field (address beyond 2^46)",
-			t, 64-slotTagShift))
+			t, tagBits))
+	}
+	s := int(t >> a.shift & uint64(a.sets-1))
+	if a.packed != nil {
+		return a.insertPacked(s, t, st)
+	}
+	base := a.base(s)
+	victim := -1
+	for i, v := range a.slab[base : base+a.ways] {
+		if v == 0 {
+			victim = i
+			break
+		}
 	}
 	if victim == -1 {
 		victim = a.victim(s)
-		if a.dm != nil {
-			ev = Eviction{Line: a.dmLine(a.dm[s], s), State: slotState(uint64(a.dm[s]))}
-		} else {
-			v := a.slots[s*a.ways+victim]
-			ev = Eviction{Line: lineAddr(slotTag(v)), State: slotState(v)}
-		}
-		evicted = true
+		v := a.slab[base+victim]
+		ev, evicted = Eviction{Line: lineAddr(slotTag(v)), State: slotState(v)}, true
 		a.occupied--
 	}
-	idx := s*a.ways + victim
 	a.occupied++
-	if a.dm != nil {
-		a.dm[idx] = a.packDM(t, st)
-		return Way(idx), ev, evicted
-	}
 	word := packSlot(t, st)
 	if a.lru {
-		// Direct-mapped and RandomRepl arrays skip recency entirely.
+		// RandomRepl arrays skip recency entirely.
 		word |= a.nextStamp(s) << slotStampShift
 	}
 	if a.hint != nil {
 		a.hint[s] = uint8(victim)
 	}
-	a.slots[idx] = word
-	return Way(idx), ev, evicted
+	a.slab[base+victim] = word
+	return Way(base + victim), ev, evicted
+}
+
+// insertPacked is InsertAt on the packed slot of set s: one load and one
+// store of the 8 bytes holding it.
+func (a *Array) insertPacked(s int, t uint64, st State) (w Way, ev Eviction, evicted bool) {
+	i := s*a.n + a.member
+	o := uint(i) * a.width
+	b := a.packed[o/8:]
+	x := binary.LittleEndian.Uint64(b)
+	if v := x >> (o % 8) & a.mask; v&packedStateMask != 0 {
+		a.victim(s) // advances a RandomRepl state; the one way is the victim
+		ev, evicted = Eviction{Line: a.packedLine(v, s), State: State(v & packedStateMask)}, true
+	} else {
+		a.occupied++
+	}
+	binary.LittleEndian.PutUint64(b, x&^(a.mask<<(o%8))|(a.packedTag(t)|uint64(st))<<(o%8))
+	return Way(i), ev, evicted
 }
 
 // victim picks the replacement way in a full set.
@@ -568,10 +721,10 @@ func (a *Array) victim(set int) int {
 		if a.ways == 1 {
 			return 0
 		}
-		base := set * a.ways
-		best, bestStamp := 0, slotStamp(a.slots[base])
+		base := a.base(set)
+		best, bestStamp := 0, slotStamp(a.slab[base])
 		for w := 1; w < a.ways; w++ {
-			if s := slotStamp(a.slots[base+w]); s < bestStamp {
+			if s := slotStamp(a.slab[base+w]); s < bestStamp {
 				best, bestStamp = w, s
 			}
 		}
@@ -601,14 +754,18 @@ func (a *Array) Invalidate(line mem.LineAddr) State {
 // ForEach calls fn for every valid line. Iteration order is deterministic
 // (set-major). fn must not mutate the array.
 func (a *Array) ForEach(fn func(line mem.LineAddr, st State)) {
-	for s, v := range a.dm {
-		if v&slotValid != 0 {
-			fn(a.dmLine(v, s), slotState(uint64(v)))
+	for s := range a.sets {
+		if a.packed != nil {
+			if v := a.get(s*a.n + a.member); v&packedStateMask != 0 {
+				fn(a.packedLine(v, s), State(v&packedStateMask))
+			}
+			continue
 		}
-	}
-	for _, v := range a.slots {
-		if v&slotValid != 0 {
-			fn(lineAddr(slotTag(v)), slotState(v))
+		base := a.base(s)
+		for _, v := range a.slab[base : base+a.ways] {
+			if v&slotValid != 0 {
+				fn(lineAddr(slotTag(v)), slotState(v))
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -305,16 +304,16 @@ func TestDemoteTieBreaksByLowestWay(t *testing.T) {
 	}
 }
 
-// TestOversizedTagPanics pins the packed-slot address bound: tags beyond
-// the 40-bit field must fail loudly on insert, not alias silently, in
-// both slot layouts — and the largest admitted tag round-trips.
+// TestOversizedTagPanics pins the address bound: tags beyond the 40-bit
+// field must fail loudly on insert, not alias silently, in both slot
+// layouts — and the largest admitted tag round-trips.
 func TestOversizedTagPanics(t *testing.T) {
 	for _, c := range []struct {
 		sets, ways int
 		over       mem.LineAddr
 	}{
 		{2, 2, mem.LineAddr(uint64(1) << 47)},
-		{dmMinSets, 1, lineAddr(maxSlotTag + 1)}, // 4-byte words
+		{4096, 1, lineAddr(maxSlotTag + 1)}, // packed 31-bit slots
 	} {
 		a := NewArray(int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU)
 		top := lineAddr(maxSlotTag)
@@ -333,25 +332,80 @@ func TestOversizedTagPanics(t *testing.T) {
 	}
 }
 
-// TestDirectMappedSlotBytes: a large direct-mapped array costs 4 bytes a
-// slot plus a constant; an associative array of the same capacity keeps
-// the 8-byte word its recency stamp needs.
+// TestDirectMappedSlotBytes pins the slab each layout holds, by its
+// length rather than by a heap delta: a direct-mapped group of n arrays
+// of sets sets packs n·sets slots of exactly 43 − log2(sets) bits into
+// ceil(n·sets·width/64) words plus one padding word, and an associative
+// array keeps the 8-byte word its recency stamp needs. The widths are
+// written out, so a slot one bit wider fails.
 func TestDirectMappedSlotBytes(t *testing.T) {
-	const size = 262_144 * mem.LineSize
-	alloc := func(ways int) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		a := NewArray(size, ways, LRU)
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(a)
-		return after.TotalAlloc - before.TotalAlloc
+	for _, c := range []struct {
+		name        string
+		n           int
+		size        int64
+		ways        int
+		width, want int // want: slab words
+	}{
+		{"Scale-1 vaults, 16 cores", 16, 256 << 20, 1, 21, (16<<22*21+63)/64 + 1},
+		{"Scale-4 vaults, 16 cores", 16, 64 << 20, 1, 23, (16<<20*23+63)/64 + 1},
+		{"Scale-32 vaults, 16 cores", 16, 8 << 20, 1, 26, (16<<17*26+63)/64 + 1},
+		{"Scale-32 vaults, 32 cores", 32, 8 << 20, 1, 26, (32<<17*26+63)/64 + 1},
+		{"one-set array", 1, mem.LineSize, 1, 43, 1 + 1},
+		{"8-way array", 1, 8 << 20, 8, 0, 1 << 17},
+		{"4-way vaults, 16 cores", 16, 8 << 20, 4, 0, 16 << 17},
+	} {
+		g := NewGroup(c.n, c.size, c.ways, LRU)
+		for _, a := range g.arrays {
+			words, shared := len(a.slab), a.slab != nil && &a.slab[0] == &g.arrays[0].slab[0]
+			if a.packed != nil {
+				words, shared = len(a.packed)/8, &a.packed[0] == &g.arrays[0].packed[0]
+			}
+			if int(a.width) != c.width || words != c.want || !shared {
+				t.Fatalf("%s: member %d holds %d-bit slots in a slab of %d words (shared: %v), want %d bits in %d",
+					c.name, a.member, a.width, words, shared, c.width, c.want)
+			}
+		}
 	}
-	const slots = size / mem.LineSize
-	if got := alloc(1); got > 4*slots+4096 {
-		t.Fatalf("direct-mapped array of %d sets allocated %d bytes, want at most 4 per slot + 4096", slots, got)
+	// A Scale-32 Vaults-Sh bank: 16 banks, so 4 bank bits kept in the slot.
+	if a := NewBankedArray(8<<20, 1, LRU, 4); a.width != 26 || len(a.packed) != 8*((1<<17*26+63)/64+1) {
+		t.Fatalf("banked array: %d-bit slots in %d bytes", a.width, len(a.packed))
 	}
-	if got := alloc(8); got < 8*slots {
-		t.Fatalf("8-way array of %d slots allocated %d bytes, want at least 8 per slot", slots, got)
+}
+
+// TestGroupKeyProbesEveryMember: a Key derived on any member of a group
+// finds the line in whichever member holds it, and nowhere else — the
+// key carries no member, so the directory's cross-checks hold.
+func TestGroupKeyProbesEveryMember(t *testing.T) {
+	for _, ways := range []int{1, 4} {
+		g := NewGroup(5, 64*int64(ways)*mem.LineSize, ways, LRU)
+		l := line(0x123457)
+		g.arrays[3].Insert(l, Owned)
+		for d, a := range g.arrays {
+			k := a.KeyOf(l)
+			for c, b := range g.arrays {
+				if hit := b.ProbeKey(k) != NoWay; hit != (c == 3) {
+					t.Fatalf("%d ways: key derived on member %d probes member %d: hit %v", ways, d, c, hit)
+				}
+			}
+			var st [MaxGroup]State
+			if mask := g.Row(k, &st); mask != 1<<3 || st[3] != Owned {
+				t.Fatalf("%d ways: Row with member %d's key = %#b, state %v", ways, d, mask, st[3])
+			}
+		}
+	}
+}
+
+// TestNewGroupPanics: a group holds 1 to MaxGroup arrays.
+func TestNewGroupPanics(t *testing.T) {
+	for _, n := range []int{0, MaxGroup + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for a group of %d", n)
+				}
+			}()
+			NewGroup(n, 64*mem.LineSize, 1, LRU)
+		}()
 	}
 }
 

@@ -18,9 +18,11 @@ import (
 //   - an Array used through the Way-handle fast path (Probe/ProbeTouch/
 //     WayState/TouchWay/SetStateWay/InsertAt/DemoteWay).
 //
-// Rows cover both slot layouts: the 8-byte word and the 4-byte word of a
-// direct-mapped array of at least dmMinSets sets. CI runs the suite under
-// -race alongside the scheduler differential (DESIGN.md §7).
+// Rows cover both slot layouts — the 8-byte word and the packed slot of a
+// direct-mapped array, at widths that straddle 64-bit words — on lone
+// arrays and on the members of a Group, whose row scans (Row, ForEachRow)
+// are checked against the members' models. CI runs the suite under -race
+// alongside the scheduler differential (DESIGN.md §7).
 
 // The line-addressed reference layer. Each call re-finds the line by
 // address and acts through the Way-handle API, so it serves both slot
@@ -92,20 +94,17 @@ type modelLine struct {
 }
 
 // modelArray reimplements the array contract with straightforward code: a
-// slice of sets, each a positional slice of ways, LRU by explicit stamps.
+// map of the sets touched so far, each a positional slice of ways, LRU by
+// explicit stamps.
 type modelArray struct {
 	sets, ways int
 	shift      uint
 	tick       uint64
-	slots      [][]modelLine
+	slots      map[int][]modelLine
 }
 
 func newModelArray(sets, ways int, shift uint) *modelArray {
-	m := &modelArray{sets: sets, ways: ways, shift: shift, slots: make([][]modelLine, sets)}
-	for i := range m.slots {
-		m.slots[i] = make([]modelLine, ways)
-	}
-	return m
+	return &modelArray{sets: sets, ways: ways, shift: shift, slots: map[int][]modelLine{}}
 }
 
 func (m *modelArray) set(line mem.LineAddr) int {
@@ -168,6 +167,9 @@ func (m *modelArray) invalidate(line mem.LineAddr) State {
 // (lowest stamp, lowest way on ties).
 func (m *modelArray) insert(line mem.LineAddr, st State, demote bool) (ev Eviction, evicted bool) {
 	s := m.set(line)
+	if m.slots[s] == nil {
+		m.slots[s] = make([]modelLine, m.ways)
+	}
 	victim := -1
 	for w := range m.slots[s] {
 		if !m.slots[s][w].valid {
@@ -223,32 +225,74 @@ func (m *modelArray) dump() map[mem.LineAddr]State {
 	return out
 }
 
-func runArrayDifferential(t *testing.T, sets, ways int, shift uint, seed uint64, ops int) {
-	t.Helper()
+// arrayDiff is one row of the differential: a lone array (n == 1) or a
+// group of n, driven through the reference layer (ref) and the Way-handle
+// fast path (fast), with one model per member.
+type arrayDiff struct {
+	n         int
+	ref, fast *Group
+	models    []*modelArray
+}
+
+func newArrayDiff(sets, ways int, shift uint, n int) *arrayDiff {
 	size := int64(sets) * int64(ways) * mem.LineSize
-	ref := NewArray(size, ways, LRU)
-	fast := NewArray(size, ways, LRU)
-	if shift > 0 {
-		ref = NewBankedArray(size, ways, LRU, shift)
-		fast = NewBankedArray(size, ways, LRU, shift)
+	d := &arrayDiff{n: n, ref: NewGroup(n, size, ways, LRU), fast: NewGroup(n, size, ways, LRU)}
+	for _, g := range []*Group{d.ref, d.fast} {
+		for _, a := range g.arrays {
+			a.shift = shift // what NewBankedArray sets
+		}
 	}
-	model := newModelArray(sets, ways, shift)
+	for range n {
+		d.models = append(d.models, newModelArray(sets, ways, shift))
+	}
+	return d
+}
+
+func runArrayDifferential(t *testing.T, sets, ways int, shift uint, n int, seed uint64, ops int) {
+	t.Helper()
+	d := newArrayDiff(sets, ways, shift, n)
 	rng := sim.NewRNG(seed)
 
 	// Address pool ~2x capacity so sets conflict. Tags span the whole
 	// 40-bit field, and on banked rows carry a non-zero bank id in the
-	// low shift bits, so every tag bit a slot word keeps must round-trip
-	// through ForEach and eviction reports.
+	// low shift bits, so every tag bit a slot keeps must round-trip
+	// through ForEach, the row scans and eviction reports. Every eighth
+	// line has no tag bits outside its set index, so an empty packed slot
+	// (all zeros) must not read as holding it. Arrays of more than 4096
+	// sets draw their lines from 256 random sets instead, so they
+	// conflict as often.
 	bank := uint64(0x5555) & (1<<shift - 1)
-	lines := make([]mem.LineAddr, 2*sets*ways+3)
+	pool := 2*sets*ways + 3
+	var hot []uint64
+	if sets > 4096 {
+		pool = 2*256*ways + 3
+		for range 256 {
+			hot = append(hot, rng.Uint64n(uint64(sets)))
+		}
+	}
+	lines := make([]mem.LineAddr, pool)
 	for i := range lines {
-		lines[i] = lineAddr(rng.Uint64n(maxSlotTag+1)&^(1<<shift-1) | bank)
+		tg := rng.Uint64n(maxSlotTag+1)&^(1<<shift-1) | bank
+		setMask := uint64(sets-1) << shift
+		if hot != nil {
+			tg = tg&^setMask | hot[rng.Uint64n(uint64(len(hot)))]<<shift
+		}
+		if i%8 == 0 {
+			tg = tg&setMask | bank
+		}
+		lines[i] = lineAddr(tg)
+	}
+	every := 512
+	if sets*n > 1<<16 {
+		every = 3000 // a compare walks every slot
 	}
 
 	states := []State{Shared, Exclusive, Owned, Modified}
 	for i := 0; i < ops; i++ {
 		line := lines[rng.Uint64n(uint64(len(lines)))]
-		switch rng.Uint64n(6) {
+		c := rng.Intn(n)
+		ref, fast, model := d.ref.arrays[c], d.fast.arrays[c], d.models[c]
+		switch rng.Uint64n(7) {
 		case 0: // lookup/probe agreement
 			want := model.lookup(line)
 			if got := ref.Lookup(line); got != want {
@@ -331,57 +375,115 @@ func runArrayDifferential(t *testing.T, sets, ways int, shift uint, seed uint64,
 			if wantEvicted && (refEv != wantEv || fastEv != wantEv) {
 				t.Fatalf("op %d: eviction ref=%+v fast=%+v model=%+v", i, refEv, fastEv, wantEv)
 			}
+		case 6: // the line's row in every member, and a key derived on member c probing each
+			d.checkRow(t, i, line)
 		}
-		if i%512 == 0 {
-			compareArrays(t, i, ref, fast, model)
+		if i%every == 0 {
+			d.compare(t, i)
 		}
 	}
-	compareArrays(t, ops, ref, fast, model)
+	d.compare(t, ops)
 }
 
-func compareArrays(t *testing.T, op int, ref, fast *Array, model *modelArray) {
+// checkRow compares the fast group's row scan for line, and each
+// member's probe with a Key another member derived, with the models.
+func (d *arrayDiff) checkRow(t *testing.T, op int, line mem.LineAddr) {
 	t.Helper()
-	want := model.dump()
-	for name, a := range map[string]*Array{"ref": ref, "fast": fast} {
-		if a.Occupied() != len(want) {
-			t.Fatalf("op %d: %s occupied %d, model %d", op, name, a.Occupied(), len(want))
+	var st [MaxGroup]State
+	k := d.fast.arrays[op%d.n].KeyOf(line)
+	mask := d.fast.Row(k, &st)
+	for c, m := range d.models {
+		want := m.lookup(line)
+		if got := mask&(1<<uint(c)) != 0; got != want.Valid() || got && st[c] != want {
+			t.Fatalf("op %d: Row(%#x) member %d: held %v in %v, model %v", op, uint64(line), c, got, st[c], want)
 		}
-		a.ForEach(func(line mem.LineAddr, st State) {
-			if want[line] != st {
-				t.Fatalf("op %d: %s holds %#x=%v, model %v", op, name, uint64(line), st, want[line])
+		if w := d.fast.arrays[c].ProbeKey(k); (w != NoWay) != want.Valid() {
+			t.Fatalf("op %d: member %d probing a key member %d derived for %#x: hit %v, model %v",
+				op, c, op%d.n, uint64(line), w != NoWay, want)
+		}
+	}
+}
+
+// compare checks every member of both groups against its model, through
+// ForEach, and the fast group's ForEachRow against all the models.
+func (d *arrayDiff) compare(t *testing.T, op int) {
+	t.Helper()
+	total := 0
+	for c, m := range d.models {
+		want := m.dump()
+		total += len(want)
+		for name, a := range map[string]*Array{"ref": d.ref.arrays[c], "fast": d.fast.arrays[c]} {
+			if a.Occupied() != len(want) {
+				t.Fatalf("op %d: member %d %s occupied %d, model %d", op, c, name, a.Occupied(), len(want))
 			}
-		})
+			a.ForEach(func(line mem.LineAddr, st State) {
+				if want[line] != st {
+					t.Fatalf("op %d: member %d %s holds %#x=%v, model %v", op, c, name, uint64(line), st, want[line])
+				}
+			})
+		}
+	}
+	seen := 0
+	d.fast.ForEachRow(func(row []Slot) bool {
+		s := d.models[0].set(row[0].Line)
+		for _, sl := range row {
+			if got := d.models[sl.Member].set(sl.Line); got != s {
+				t.Fatalf("op %d: row of set %d lists %#x of set %d", op, s, uint64(sl.Line), got)
+			}
+			if want := d.models[sl.Member].lookup(sl.Line); want != sl.State {
+				t.Fatalf("op %d: row lists member %d holding %#x=%v, model %v", op, sl.Member, uint64(sl.Line), sl.State, want)
+			}
+		}
+		seen += len(row)
+		return true
+	})
+	if seen != total {
+		t.Fatalf("op %d: ForEachRow listed %d slots, models hold %d", op, seen, total)
 	}
 }
 
 // TestArrayDifferential exercises the three implementations across the
 // geometries the simulated systems use: multi-way L1/LLC shapes, the
-// direct-mapped vault shape, and a banked (shifted) bank shape — each
-// direct-mapped shape both below dmMinSets (8-byte words) and at it
-// (4-byte words).
+// direct-mapped vault shape, and a banked (shifted) bank shape, alone
+// and as groups of 3, 16 and 32 members. The packed direct-mapped widths
+// run from 21 bits (a Scale-1 vault) to 43 (a one-set array), so slots
+// straddle 64-bit words at every offset.
 func TestArrayDifferential(t *testing.T) {
 	cases := []struct {
 		sets, ways int
 		shift      uint
-		fourByte   bool
+		n          int  // group size
+		width      uint // packed slot bits; 0 for the 8-byte layout
 	}{
-		{4, 8, 0, false},   // L1 shape
-		{8, 16, 0, false},  // LLC bank shape
-		{64, 1, 0, false},  // small direct-mapped vault
-		{16, 1, 4, false},  // small banked direct-mapped (VaultsShared bank)
-		{8, 2, 2, false},   // banked set-associative
-		{1, 4, 0, false},   // single-set stress
-		{4096, 1, 0, true}, // direct-mapped vault
-		{4096, 1, 4, true}, // banked direct-mapped
+		{4, 8, 0, 1, 0},         // L1 shape
+		{8, 16, 0, 1, 0},        // LLC bank shape
+		{64, 1, 0, 1, 37},       // small direct-mapped vault
+		{16, 1, 4, 1, 39},       // small banked direct-mapped (VaultsShared bank)
+		{8, 2, 2, 1, 0},         // banked set-associative
+		{1, 4, 0, 1, 0},         // single-set stress
+		{4096, 1, 0, 1, 31},     // direct-mapped vault
+		{4096, 1, 4, 1, 31},     // banked direct-mapped
+		{1, 1, 0, 1, 43},        // one-set direct-mapped: the widest slot
+		{1 << 22, 1, 0, 1, 21},  // a Scale-1 vault
+		{1 << 20, 1, 0, 3, 23},  // Scale-4 vaults, a group of 3
+		{1 << 17, 1, 0, 16, 26}, // Scale-32 vaults, 16 cores
+		{64, 1, 0, 32, 37},      // 32 cores
+		{4096, 1, 4, 16, 31},    // banked direct-mapped group
+		{16, 4, 0, 16, 0},       // 4-way vaults (the vault_ways override)
+		{8, 2, 2, 3, 0},         // banked associative group, a row of 6 words
 	}
 	for ci, c := range cases {
 		c := c
-		if got := NewArray(int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU).dm != nil; got != c.fourByte {
-			t.Fatalf("%dsx%dw: 4-byte layout %v, want %v", c.sets, c.ways, got, c.fourByte)
+		if got := NewGroup(c.n, int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU).arrays[0].width; got != c.width {
+			t.Fatalf("%dsx%dw: packed width %d, want %d", c.sets, c.ways, got, c.width)
 		}
-		t.Run(fmt.Sprintf("%dsx%dw_shift%d", c.sets, c.ways, c.shift), func(t *testing.T) {
+		name := fmt.Sprintf("%dsx%dw_shift%d", c.sets, c.ways, c.shift)
+		if c.n > 1 {
+			name += fmt.Sprintf("_group%d", c.n)
+		}
+		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				runArrayDifferential(t, c.sets, c.ways, c.shift, seed*7919+uint64(ci), 6000)
+				runArrayDifferential(t, c.sets, c.ways, c.shift, c.n, seed*7919+uint64(ci), 6000)
 			}
 		})
 	}

@@ -63,11 +63,11 @@ const Magic = "SILOCKPT"
 // FormatVersion is bumped whenever any component's walk changes the
 // byte layout; a mismatch makes Open fail and the caller rebuild from
 // scratch. core.TestCheckpointImageGolden pins the layout.
-const FormatVersion = 5
+const FormatVersion = 6
 
 // FormatTag names the format generation inside content-hash keys, so
 // key derivation itself is versioned alongside the byte layout.
-const FormatTag = "ckpt-v5"
+const FormatTag = "ckpt-v6"
 
 // maxSliceLen caps slice lengths read before the CRC has been verified
 // when the source's size is unknown (a Reader over a plain stream). It
@@ -199,6 +199,51 @@ func writeSparse[T Word](w *Writer, s []T) {
 		}
 		w.write(w.buf[:end])
 		s = s[n:]
+	}
+}
+
+// writePacked writes n width-bit fields of s as a length-prefixed sparse
+// body: per chunk of up to chunkElems fields, ceil(n/64) mask words as in
+// writeSparse, then the nonzero fields in ceil(width/8) bytes each. The
+// 64 fields of each mask word fill exactly width words of s (fewer at its
+// end), so it reads those words once and skips them when all are zero.
+func writePacked(w *Writer, s []byte, width uint, n int) {
+	w.word(uint64(n), 8)
+	size := int(width+7) / 8
+	if w.buf == nil {
+		w.buf = make([]byte, bulkBytes)
+	}
+	fieldMask := uint64(1)<<width - 1
+	var blk [65]uint64 // width words, and one that stays zero
+	for base := 0; base < n; base += chunkElems {
+		k := min(n-base, chunkElems)
+		maskBytes := (k + 63) / 64 * 8
+		mask := w.buf[:maskBytes]
+		clear(mask)
+		end := maskBytes
+		for j := 0; 64*j < k; j++ {
+			q0 := (base/64 + j) * int(width)
+			words := min(int(width), len(s)/8-q0)
+			live := uint64(0)
+			for q := range words {
+				blk[q] = binary.LittleEndian.Uint64(s[8*(q0+q):])
+				live |= blk[q]
+			}
+			if live == 0 {
+				continue
+			}
+			clear(blk[words : width+1])
+			for f := 0; f < 64 && 64*j+f < k; f++ {
+				o := uint(f) * width
+				if v := (blk[o/64]>>(o%64) | blk[o/64+1]<<(63-o%64)<<1) & fieldMask; v != 0 {
+					i := 64*j + f
+					mask[i/8] |= 1 << (i % 8) // bit i%64 of little-endian word i/64
+					binary.LittleEndian.PutUint64(w.buf[end:], v)
+					end += size
+				}
+			}
+		}
+		w.write(w.buf[:end])
 	}
 }
 
@@ -370,6 +415,78 @@ func readSparse[T Word](r *Reader, dst []T) {
 				}
 				chunk[i] = v
 				at += size
+			}
+		}
+	}
+}
+
+// readPacked decodes a body written by writePacked into the all-zero
+// slab dst, storing only the words that hold its nonzero fields, under
+// readSparse's rules: the stored count must be n, no mask bit may pass
+// the end, and a marked field must be nonzero and fit in width bits.
+func readPacked(r *Reader, dst []byte, width uint, n int) {
+	if got := r.word(8); r.err != nil {
+		return
+	} else if got != uint64(n) {
+		r.fail(fmt.Errorf("checkpoint: packed slab of %d fields, want %d", got, n))
+		return
+	}
+	size := int(width+7) / 8
+	bytesMask, fieldMask := uint64(1)<<(8*size)-1, uint64(1)<<width-1
+	var blk [65]uint64 // width words, and one that stays zero
+	if r.buf == nil {
+		r.buf = make([]byte, bulkBytes)
+	}
+	for base := 0; base < n; base += chunkElems {
+		k := min(n-base, chunkElems)
+		words := (k + 63) / 64
+		maskBytes := words * 8
+		if !r.read(r.buf[:maskBytes]) {
+			return
+		}
+		live := 0
+		for j := range words {
+			live += bits.OnesCount64(binary.LittleEndian.Uint64(r.buf[8*j:]))
+		}
+		if tail := k % 64; tail != 0 {
+			if past := binary.LittleEndian.Uint64(r.buf[maskBytes-8:]) >> tail; past != 0 {
+				r.fail(fmt.Errorf("checkpoint: packed slab mask marks field %d past its end %d",
+					base+k+bits.TrailingZeros64(past), n))
+				return
+			}
+		}
+		if !r.read(r.buf[maskBytes : maskBytes+live*size]) {
+			return
+		}
+		at := maskBytes
+		for j := range words {
+			m := binary.LittleEndian.Uint64(r.buf[8*j:])
+			if m == 0 {
+				continue
+			}
+			// The 64 fields of mask word j fill exactly width words of dst:
+			// assemble them in blk and store each once, so no store
+			// overlaps another one partially.
+			clear(blk[:width+1])
+			for ; m != 0; m &= m - 1 {
+				f := bits.TrailingZeros64(m)
+				v := binary.LittleEndian.Uint64(r.buf[at:]) & bytesMask
+				if v-1 >= fieldMask { // v is 0 or wider than width
+					r.fail(fmt.Errorf("checkpoint: packed field %d marked live holds %#x, not a nonzero %d-bit value",
+						base+64*j+f, v, width))
+					return
+				}
+				o := uint(f) * width
+				blk[o/64] |= v << (o % 64)
+				blk[o/64+1] |= v >> (63 - o%64) >> 1
+				at += size
+			}
+			// A nonzero word holds a field's bits, so it lies within dst.
+			q0 := uint64(base/64+j) * uint64(width)
+			for q, x := range blk[:width] {
+				if x != 0 {
+					binary.LittleEndian.PutUint64(dst[8*(q0+uint64(q)):], x)
+				}
 			}
 		}
 	}

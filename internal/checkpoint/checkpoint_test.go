@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -513,12 +514,130 @@ func TestSlabRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// orPackedField ORs v into field i of width bits of s (Packed's layout).
+func orPackedField(s []byte, i int, width uint, v uint64) {
+	o := uint64(i) * uint64(width)
+	q, r := o/64*8, o%64
+	binary.LittleEndian.PutUint64(s[q:], binary.LittleEndian.Uint64(s[q:])|v<<r)
+	if r+uint64(width) > 64 {
+		binary.LittleEndian.PutUint64(s[q+8:], binary.LittleEndian.Uint64(s[q+8:])|v>>(64-r))
+	}
+}
+
+// testField is testPacked's field i: a width-bit pattern, or 0 where
+// liveAt is false.
+func testField(i int, width uint) uint64 {
+	if !liveAt(i) {
+		return 0
+	}
+	return (uint64(i)*0x9E3779B97F4A7C15 | 1) & (1<<width - 1)
+}
+
+// testPacked packs n fields of width bits into a byte slab with one
+// padding word, as cache does.
+func testPacked(n int, width uint) []byte {
+	s := make([]byte, 8*((n*int(width)+63)/64+1))
+	for i := range n {
+		orPackedField(s, i, width, testField(i, width))
+	}
+	return s
+}
+
+// TestPackedRoundTrip: packed slabs of every width a cache slot takes
+// (21 to 43 bits) and the bounds (1 and 64), at lengths around a mask
+// word and a chunk, with whole mask words of dead fields, decode byte for
+// byte into an all-zero receiver, and a field reads back bit by bit where
+// Packed's layout puts it.
+func TestPackedRoundTrip(t *testing.T) {
+	for _, width := range []uint{1, 21, 23, 26, 31, 37, 43, 64} {
+		for _, n := range []int{0, 1, 63, 64, chunkElems, chunkElems + 1, 9000} {
+			want := testPacked(n, width)
+			payload := encode(t, func(c *Codec) { Packed(c, want, width, n) })
+			got := make([]byte, len(want))
+			c := NewDecoder(NewReader(bytes.NewReader(payload)))
+			Packed(c, got, width, n)
+			if err := c.Err(); err != nil {
+				t.Fatalf("%d fields of %d bits: %v", n, width, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d fields of %d bits: decoded slab differs", n, width)
+			}
+			for i := 0; i < n; i += 97 {
+				var v uint64
+				for b := range width {
+					bit := uint(i)*width + b
+					v |= uint64(want[bit/8]>>(bit%8)&1) << b
+				}
+				if f := testField(i, width); f != v {
+					t.Fatalf("field %d of %d bits: its bits read %#x, want %#x", i, width, v, f)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedLayout pins the packed body byte for byte: the field count,
+// the mask word, then each live field in ceil(width/8) bytes.
+func TestPackedLayout(t *testing.T) {
+	s := make([]byte, 16)
+	orPackedField(s, 1, 21, 5)
+	orPackedField(s, 2, 21, 0x1FFFFF)
+	payload := encode(t, func(c *Codec) { Packed(c, s, 21, 3) })
+	want := []byte{
+		3, 0, 0, 0, 0, 0, 0, 0, // 3 fields
+		0b110, 0, 0, 0, 0, 0, 0, 0, // fields 1 and 2 live
+		5, 0, 0,
+		0xFF, 0xFF, 0x1F,
+	}
+	if got := payload[:len(payload)-4]; !bytes.Equal(got, want) {
+		t.Fatalf("packed slab bytes\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestPackedRejectsNonCanonical: as with Slab, a packed decode accepts
+// only the encoder's image: the recorded count, no mask bit past the
+// end, and live fields that are nonzero and fit their width. Either
+// direction rejects a slab that is not whole words.
+func TestPackedRejectsNonCanonical(t *testing.T) {
+	le := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"count", le(4, 1), "packed slab of 4 fields, want 3"},
+		{"bit past the end", le(3, 1<<3), "field 3 past its end 3"},
+		{"marked zero", append(le(3, 1<<1), 0, 0, 0), "field 1 marked live holds 0x0"},
+		{"wider than the field", append(le(3, 1), 0, 0, 0x20), "field 0 marked live holds 0x200000"},
+	}
+	for _, tc := range cases {
+		c := NewDecoder(NewReader(bytes.NewReader(tc.payload)))
+		Packed(c, make([]byte, 16), 21, 3)
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want error %q, got %v", tc.name, tc.want, err)
+		}
+	}
+	for _, size := range []int{8, 12} {
+		c := NewEncoder(NewWriter(io.Discard))
+		if Packed(c, make([]byte, size), 21, 3); (c.Err() == nil) != (size == 8) {
+			t.Fatalf("3 fields of 21 bits in a slab of %d bytes: %v", size, c.Err())
+		}
+	}
+}
+
 // fuzzSlabLens are FuzzSlab's receiver lengths: empty, shorter than, at
 // and past one mask word, and at and past one chunk.
 var fuzzSlabLens = []int{0, 1, 63, 64, chunkElems, chunkElems + 1}
 
-// FuzzSlab feeds arbitrary slab bodies to Slab decoders of every width
-// and fuzzSlabLens length; the harness prefixes the receiver's length,
+// FuzzSlab feeds arbitrary slab bodies to Slab decoders of every width,
+// and to Packed decoders of 21- and 43-bit fields, at each fuzzSlabLens
+// length; the harness prefixes the receiver's length,
 // so every decode reaches the masks. Each decode must fail with an
 // error or yield a slab whose re-encoding is exactly the bytes it
 // consumed — each slab has one image — and none may panic. The seeds
@@ -538,6 +657,8 @@ func FuzzSlab(f *testing.F) {
 			fuzzSlab[uint8](t, n, body)
 			fuzzSlab[uint32](t, n, body)
 			fuzzSlab[uint64](t, n, body)
+			fuzzPacked(t, n, 21, body)
+			fuzzPacked(t, n, 43, body)
 		}
 	})
 }
@@ -564,5 +685,26 @@ func fuzzSlab[T Word](t *testing.T, n int, body []byte) {
 	Slab(NewEncoder(w), s)
 	if consumed := payload[:len(payload)-src.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
 		t.Fatalf("%d-byte slab of %d: decoded from %x, re-encodes as %x", wordBytes[T](), n, consumed, buf.Bytes())
+	}
+}
+
+// fuzzPacked is fuzzSlab for a Packed decoder of n fields of width bits.
+func fuzzPacked(t *testing.T, n int, width uint, body []byte) {
+	payload := append(binary.LittleEndian.AppendUint64(nil, uint64(n)), body...)
+	src := bytes.NewReader(payload)
+	r := NewReader(src)
+	r.buf = fuzzBufs[0]
+	c := NewDecoder(r)
+	s := make([]byte, 8*((n*int(width)+63)/64+1))
+	Packed(c, s, width, n)
+	if c.Err() != nil {
+		return
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.buf = fuzzBufs[1]
+	Packed(NewEncoder(w), s, width, n)
+	if consumed := payload[:len(payload)-src.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+		t.Fatalf("%d fields of %d bits: decoded from %x, re-encodes as %x", n, width, consumed, buf.Bytes())
 	}
 }

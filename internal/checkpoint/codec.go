@@ -130,6 +130,29 @@ func Slab[T Word](c *Codec, s []T) {
 	}
 }
 
+// Packed walks n fields of width bits (1 to 64) packed into the byte
+// slab s of whole little-endian uint64 words, field i at bits i·width
+// upward of s read as one little-endian bit string, sparsely per field:
+// the encoder writes each chunk of up to 4096 fields as a presence mask
+// followed by only its nonzero fields, each in ceil(width/8)
+// little-endian bytes, and the decoder writes just those fields into s.
+// As with Slab, s must hold all zeros on decode, n is geometry (a
+// recorded count other than n fails without allocating), and only the
+// canonical image decodes: a field marked live must be nonzero and fit
+// in width bits.
+func Packed(c *Codec, s []byte, width uint, n int) {
+	c.Check(width >= 1 && width <= 64 && len(s)%8 == 0 && uint64(n)*uint64(width) <= 8*uint64(len(s)),
+		"checkpoint: %d fields of %d bits do not fit a slab of %d bytes in whole words", n, width, len(s))
+	if *c.err != nil {
+		return
+	}
+	if c.r == nil {
+		writePacked(c.w, s, width, n)
+	} else {
+		readPacked(c.r, s, width, n)
+	}
+}
+
 // DataSlab walks a slab whose length is data, not geometry (a snoop
 // filter's line table, sized by how much warm-up filled it), densely:
 // every element in order. The decoder replaces *p with a slab of the

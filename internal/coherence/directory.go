@@ -6,9 +6,9 @@
 //     duplicate-tag directory in the vaults, and duplicate tags are
 //     copies of the vault tags, so the Directory is a view over the
 //     per-core vault arrays themselves: each vault slot's state field
-//     carries its core's MOESI state, and a line's holders are one read
-//     of the line's set in every vault. MOESI is the paper's protocol;
-//     MESI is selectable for the ablation study.
+//     carries its core's MOESI state, and the vaults share one set-major
+//     slab, so a line's holders are one scan of its row. MOESI is the
+//     paper's protocol; MESI is selectable for the ablation study.
 //   - SnoopFilter: the sharer tracking a shared last-level cache performs
 //     for the private L1s above it (baseline MESI, non-inclusive, paper
 //     Table II), kept in a per-line table (table.go, quot.go).
@@ -50,30 +50,23 @@ func (p Protocol) String() string {
 const MemorySource = -1
 
 // Directory is the coherence directory of a private-LLC system with up to
-// 32 cores: a view over the cores' vault arrays, which share one
-// geometry. The slot of a vault-resident line holds its core's state: E,
-// O or M for the line's one owner, S for every other holder. The
-// directory writes owner downgrades and upgrades into those slots; the
-// caller installs the fill state a Read returns (Modified after a
-// WriteMask miss), invalidates the peers a WriteMask names, and evicts
-// with the victim slot's own state — cache.Eviction.State says whether
-// the victim was a dirty owner.
+// 32 cores: a view over the cores' vault arrays, one cache.Group whose
+// set-major slab puts a line's slots in every vault side by side. The
+// slot of a vault-resident line holds its core's state: E, O or M for the
+// line's one owner, S for every other holder. The directory writes owner
+// downgrades and upgrades into those slots; the caller installs the fill
+// state a Read returns (Modified after a WriteMask miss), invalidates the
+// peers a WriteMask names, and evicts with the victim slot's own state —
+// cache.Eviction.State says whether the victim was a dirty owner.
 type Directory struct {
 	protocol Protocol
-	vaults   []*cache.Array
+	group    *cache.Group
+	vaults   []*cache.Array // group.Arrays(): vault c is core c's
 }
 
-// NewDirectory builds the directory over vaults, one per core.
-func NewDirectory(vaults []*cache.Array, protocol Protocol) *Directory {
-	if n := len(vaults); n == 0 || n > 32 {
-		panic(fmt.Sprintf("coherence: core count %d outside [1,32]", n))
-	}
-	for c, v := range vaults {
-		if !v.SameGeometry(vaults[0]) {
-			panic(fmt.Sprintf("coherence: vault %d differs in geometry from vault 0", c))
-		}
-	}
-	return &Directory{protocol: protocol, vaults: vaults}
+// NewDirectory builds the directory over vaults, one member per core.
+func NewDirectory(vaults *cache.Group, protocol Protocol) *Directory {
+	return &Directory{protocol: protocol, group: vaults, vaults: vaults.Arrays()}
 }
 
 func (d *Directory) check(core int) {
@@ -82,19 +75,21 @@ func (d *Directory) check(core int) {
 	}
 }
 
-// holders reads the line's set in every vault, deriving its set index and
-// tag once: the mask of cores holding the line (bit c: core c), and the
-// owner — the holder in E, O or M — with its way, or owner -1.
+// holders scans the line's row of the vault group once: the mask of
+// cores holding the line (bit c: core c), and the owner — the holder in
+// E, O or M — with its way, or owner -1.
 func (d *Directory) holders(line mem.LineAddr) (mask uint32, owner int, ow cache.Way) {
 	owner = -1
-	k := d.vaults[0].KeyOf(line)
-	for c, v := range d.vaults {
-		if w := v.ProbeKey(k); w != cache.NoWay {
-			mask |= 1 << uint(c)
-			if v.WayState(w) != cache.Shared {
-				owner, ow = c, w
-			}
+	var st [cache.MaxGroup]cache.State
+	k := d.group.KeyOf(line)
+	mask = d.group.Row(k, &st)
+	for m := mask; m != 0; m &= m - 1 {
+		if c := bits.TrailingZeros32(m); st[c] != cache.Shared {
+			owner = c
 		}
+	}
+	if owner >= 0 {
+		ow = d.vaults[owner].ProbeKey(k)
 	}
 	return mask, owner, ow
 }
@@ -226,48 +221,46 @@ func (d *Directory) MarkDirty(line mem.LineAddr, core int) {
 	}
 }
 
-// CheckInvariants validates the states the vaults hold, returning an
-// error description or "": every slot holds S, E, O or M; a line has at
-// most one owner; an E or M owner holds it alone; and MESI never holds O.
-// Only owners are cross-checked, each against the line's set in every
-// other vault.
+// CheckInvariants validates the states the vaults hold in one pass over
+// the group's rows, returning an error description or "": every slot
+// holds S, E, O or M; a line has at most one owner; an E or M owner holds
+// it alone; and MESI never holds O. Only owners are cross-checked, each
+// against the other slots of its row.
 func (d *Directory) CheckInvariants() string {
 	msg := ""
-	for c, v := range d.vaults {
-		v.ForEach(func(line mem.LineAddr, st cache.State) {
-			if msg != "" || st == cache.Shared {
-				return
+	d.group.ForEachRow(func(row []cache.Slot) bool {
+		for _, h := range row {
+			switch h.State {
+			case cache.Shared:
+				continue
+			case cache.Exclusive, cache.Modified:
+			case cache.Owned:
+				if d.protocol == MESI {
+					msg = fmt.Sprintf("core %d vault holds line %#x in O under MESI", h.Member, uint64(h.Line))
+					return false
+				}
+			default:
+				msg = fmt.Sprintf("core %d vault holds line %#x in state %v", h.Member, uint64(h.Line), h.State)
+				return false
 			}
-			switch {
-			case st != cache.Exclusive && st != cache.Owned && st != cache.Modified:
-				msg = fmt.Sprintf("core %d vault holds line %#x in state %v", c, uint64(line), st)
-				return
-			case st == cache.Owned && d.protocol == MESI:
-				msg = fmt.Sprintf("core %d vault holds line %#x in O under MESI", c, uint64(line))
-				return
-			}
-			k := v.KeyOf(line)
-			for p, pv := range d.vaults {
-				w := pv.ProbeKey(k)
-				if p == c || w == cache.NoWay {
+			for _, p := range row {
+				if p.Member == h.Member || p.Line != h.Line {
 					continue
 				}
-				if pst := pv.WayState(w); pst != cache.Shared {
+				if p.State != cache.Shared {
 					msg = fmt.Sprintf("line %#x: two owners, core %d in %v and core %d in %v",
-						uint64(line), c, st, p, pst)
-				} else if st != cache.Owned {
-					msg = fmt.Sprintf("line %#x: %v owner %d with sharer %d", uint64(line), st, c, p)
+						uint64(h.Line), h.Member, h.State, p.Member, p.State)
+				} else if h.State != cache.Owned {
+					msg = fmt.Sprintf("line %#x: %v owner %d with sharer %d", uint64(h.Line), h.State, h.Member, p.Member)
 				}
 				if msg != "" {
-					return
+					return false
 				}
 			}
-		})
-		if msg != "" {
-			return msg
 		}
-	}
-	return ""
+		return true
+	})
+	return msg
 }
 
 // firstSet returns the lowest-numbered core in a non-empty sharer mask.

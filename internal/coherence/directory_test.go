@@ -227,20 +227,15 @@ func TestEvictNotHeldPanics(t *testing.T) {
 	d.Evict(line(1), 0)
 }
 
+// TestNewDirectoryPanics: the directory's vault group holds 1 to 32
+// vaults (cache.MaxGroup), one per core, and a core outside it panics.
 func TestNewDirectoryPanics(t *testing.T) {
-	vaults := func(n int) []*cache.Array {
-		vs := make([]*cache.Array, n)
-		for c := range vs {
-			vs[c] = cache.NewArray(64*mem.LineSize, 1, cache.LRU)
-		}
-		return vs
-	}
-	mixed := vaults(4)
-	mixed[2] = cache.NewArray(128*mem.LineSize, 1, cache.LRU)
-	for name, vs := range map[string][]*cache.Array{
-		"0 cores":  nil,
-		"33 cores": vaults(33),
-		"mixed":    mixed,
+	for name, build := range map[string]func(){
+		"0 cores":  func() { newVaultDir(0, MOESI, 64, 1) },
+		"33 cores": func() { newVaultDir(33, MOESI, 64, 1) },
+		"core 4 of 4": func() {
+			newVaultDir(4, MOESI, 64, 1).Read(line(1), 4)
+		},
 	} {
 		func() {
 			defer func() {
@@ -248,7 +243,7 @@ func TestNewDirectoryPanics(t *testing.T) {
 					t.Errorf("expected panic for %s", name)
 				}
 			}()
-			NewDirectory(vs, MOESI)
+			build()
 		}()
 	}
 }
@@ -350,5 +345,47 @@ func TestSingleOwnerProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatchesViolations plants each state combination the
+// protocol must never produce in a vault group's rows — at packed and
+// 8-byte slots — and demands that the row scan reports it, while legal
+// rows pass. Every vault with room for it also holds another line of the
+// same set in S, so a check that confuses a row's lines fails the legal
+// rows.
+func TestCheckInvariantsCatchesViolations(t *testing.T) {
+	type holding struct {
+		core int
+		st   cache.State
+	}
+	for _, ways := range []int{1, 4} {
+		for name, c := range map[string]struct {
+			proto Protocol
+			held  []holding
+			bad   bool
+		}{
+			"E alone":            {MOESI, []holding{{1, cache.Exclusive}}, false},
+			"O with sharers":     {MOESI, []holding{{0, cache.Owned}, {2, cache.Shared}, {3, cache.Shared}}, false},
+			"E with a sharer":    {MOESI, []holding{{1, cache.Exclusive}, {2, cache.Shared}}, true},
+			"M with a sharer":    {MOESI, []holding{{2, cache.Shared}, {3, cache.Modified}}, true},
+			"two owners":         {MOESI, []holding{{0, cache.Owned}, {1, cache.Modified}}, true},
+			"O under MESI":       {MESI, []holding{{2, cache.Owned}}, true},
+			"state out of range": {MOESI, []holding{{1, cache.State(5)}}, true},
+		} {
+			d := newVaultDir(4, c.proto, 16, ways)
+			l, other := line(3), line(3+16) // one set, two tags
+			for _, h := range c.held {
+				d.vaults[h.core].InsertAt(l, h.st)
+			}
+			for _, v := range d.vaults {
+				if ways > 1 || !v.Contains(l) {
+					v.InsertAt(other, cache.Shared)
+				}
+			}
+			if msg := d.CheckInvariants(); (msg != "") != c.bad {
+				t.Errorf("%d ways, %s: CheckInvariants = %q, want a violation: %v", ways, name, msg, c.bad)
+			}
+		}
 	}
 }

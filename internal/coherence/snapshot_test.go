@@ -132,8 +132,8 @@ func TestSnoopFilterSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestDirectorySnapshotRoundTrip: the directory keeps no state of its
-// own — its whole state is the vault arrays it views — so a view built
-// over checkpointed-and-restored vaults holds every line in every core's
+// own — its whole state is the vault group it views — so a view built
+// over a checkpointed-and-restored group holds every line in every core's
 // state and behaves exactly as the original under further traffic.
 func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	for _, g := range viewGeometries {
@@ -143,10 +143,8 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 			driveDirectory(d, cores, 3000)
 
 			r := newVaultDir(cores, proto, g.sets, g.ways)
-			for c := range d.vaults {
-				if err := roundTrip(d.vaults[c].Checkpoint, r.vaults[c].Checkpoint); err != nil {
-					t.Fatalf("%s/%v: vault %d round trip: %v", g.name, proto, c, err)
-				}
+			if err := roundTrip(d.group.Checkpoint, r.group.Checkpoint); err != nil {
+				t.Fatalf("%s/%v: vault group round trip: %v", g.name, proto, err)
 			}
 			driveDirectory(d, cores, 2000)
 			driveDirectory(r, cores, 2000)

@@ -22,13 +22,11 @@ type vaultDir struct {
 	vaults []*cache.Array
 }
 
-// newVaultDir builds the view over cores vaults of sets x ways lines.
+// newVaultDir builds the view over a group of cores vaults of sets x ways
+// lines, as privateHierarchy does.
 func newVaultDir(cores int, proto Protocol, sets, ways int) *vaultDir {
-	vaults := make([]*cache.Array, cores)
-	for c := range vaults {
-		vaults[c] = cache.NewArray(int64(sets*ways)*mem.LineSize, ways, cache.LRU)
-	}
-	return &vaultDir{Directory: NewDirectory(vaults, proto), vaults: vaults}
+	g := cache.NewGroup(cores, int64(sets*ways)*mem.LineSize, ways, cache.LRU)
+	return &vaultDir{Directory: NewDirectory(g, proto), vaults: g.Arrays()}
 }
 
 // fill installs line, which core's vault does not hold, in state st and
@@ -80,10 +78,11 @@ func (v *vaultDir) Evict(line mem.LineAddr, core int) EvictOutcome {
 	return EvictOutcome{MemWriteback: st.Dirty()}
 }
 
-// viewGeometries are the vault shapes the view runs on: the direct-mapped
-// 4-byte slot of every paper-scale vault (4096 sets is the smallest
-// direct-mapped array that uses it), the 8-byte direct-mapped slot below
-// that, and the 4-way LRU vault of the vault_ways=4 override.
+// viewGeometries are the vault groups the view runs on: packed
+// direct-mapped slots at two widths (31 bits at 4096 sets, 37 at 64), and
+// the 8-byte words of the 4-way LRU vaults of the vault_ways=4 override.
+// The direct-mapped rows keep the names of the slot sizes they had
+// before slots were packed (4 and 8 bytes).
 var viewGeometries = []struct {
 	name       string
 	sets, ways int

@@ -119,6 +119,7 @@ func (h *privateHierarchy) checkpoint(c *checkpoint.Codec) {
 	checkpointArrays(c, "l1i", h.l1i)
 	checkpointArrays(c, "l1d", h.l1d)
 	checkpointArrays(c, "l2", h.l2)
-	checkpointArrays(c, "vaultArr", h.vaultArr) // and with them the directory
+	c.Section("vaultTags")
+	h.vaultTags.Checkpoint(c) // and with them the directory
 	checkpointVaults(c, h.vaults)
 }

@@ -343,15 +343,15 @@ func TestCheckpointRestoreAllocation(t *testing.T) {
 // reordered or resized — must bump checkpoint.FormatVersion, after which
 // these constants are regenerated from the new failure messages.
 var imageGolden = map[string]string{
-	"Baseline-4":      "66de5802936a2893e821fa13cec9579579fb9dec1cf64db64ffe0e99d2922bf5",
-	"BaselineDRAM-4":  "78759eafe7e2d17c2e1495289f6c96eed5142a16ba6134c98d9bb1d1aba137c9",
-	"Baseline-32":     "f7d3b5178a4fe4b7e7daf5706cdd4b586b8ab22e10d6c1f85e75cf6d9e49b95e",
-	"SILO-4":          "cd10781dd2bd85009c837f73a3d4d18bdb363ab336d5a6fd4788b3589d305c66",
-	"SILO-4-L2":       "1bb3a229b6741c10a47fb48b495941ca6ce5da6836dcb24d71014e6175fe8be8",
-	"SILO-32":         "e5aa1b21be738301369faff893f06f106ace0b5e8fa7f3ba4fedfb533b756b06",
-	"VaultsShared-4":  "e054beb00b0f51df5b42d14e00960a9f7739579d271af36444f12804e562d117",
-	"SILOCO-4":        "8e6edd4bc3d176f2e35f1519e726d2f8446f184597d81a64a4c7ababc578fb34",
-	"scenario-SILO-4": "1e86bca98002f43c9de7581d1074042e448cb98c6beabd457b114914692a33e0",
+	"Baseline-4":      "84cb1f4f32ccfa744513818dbaeef880985112d0cfc55c16fea52d04629f0c7a",
+	"BaselineDRAM-4":  "f5bf8dc53c507d4251c95f34243b55da46e68cd1f2a9b657295e1828671a11ff",
+	"Baseline-32":     "67c64ae1e53fd40804e6b960ebe38ea83b28d33bc96b604df9ea427181437446",
+	"SILO-4":          "9c30e044e7bc41612efc3c50a22a7c7145d0b5cf80aa547956eefc0dfe9ebfc1",
+	"SILO-4-L2":       "ef69d866a865272a6e58e3647e8e142c0006581721644af09db7a4a2dc735b6d",
+	"SILO-32":         "76b318e615c12be41c95f2062963a155c1ddf3de9838826dea52c4ce6d4f0953",
+	"VaultsShared-4":  "c0a6eb7c9fb7edf7a78ce8560ce13a6beb32df253b2750691e6aa3f301917dc4",
+	"SILOCO-4":        "7aa40c1adfc4d860468355b9ecc55fbcbd6ae691d8200409d11d1fb005887631",
+	"scenario-SILO-4": "5ec41d3897253f2922f35d46e1a8a4412f2f654dcec2d8b0dc1d9e5a4d43d349",
 }
 
 // TestCheckpointImageGolden guards the byte format: every

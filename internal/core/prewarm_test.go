@@ -52,17 +52,19 @@ func oraclePrewarm(s *System) {
 // contents compare byte for byte. A snoop filter's line table is left
 // out: its slab layout records how it grew.
 func cacheImage(s *System) []byte {
-	var levels [][]*cache.Array
-	switch h := s.hier.(type) {
-	case *privateHierarchy:
-		levels = [][]*cache.Array{h.l1i, h.l1d, h.l2, h.vaultArr}
-	case *sharedHierarchy:
-		levels = [][]*cache.Array{h.l1i, h.l1d, h.l2, h.banks}
-	}
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
-	for _, arrs := range levels {
-		checkpointArrays(checkpoint.NewEncoder(w), "level", arrs)
+	c := checkpoint.NewEncoder(w)
+	switch h := s.hier.(type) {
+	case *privateHierarchy:
+		for _, arrs := range [][]*cache.Array{h.l1i, h.l1d, h.l2} {
+			checkpointArrays(c, "level", arrs)
+		}
+		h.vaultTags.Checkpoint(c)
+	case *sharedHierarchy:
+		for _, arrs := range [][]*cache.Array{h.l1i, h.l1d, h.l2, h.banks} {
+			checkpointArrays(c, "level", arrs)
+		}
 	}
 	if err := w.Finish(); err != nil {
 		panic(err)

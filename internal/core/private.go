@@ -18,7 +18,8 @@ import (
 // lives in the vaults: a miss in the local vault consults the line's home
 // vault, which may forward to a remote owner vault or to memory. The
 // directory is the vault tags themselves (coherence.Directory): each
-// vault slot carries its core's MOESI state.
+// vault slot carries its core's MOESI state, and the vaults are one
+// cache.Group, so a line's slots in every vault are adjacent.
 //
 // Access paths (paper Sec. V-C): up to three DRAM accesses may serialize —
 // local vault (miss discovered after the TAD read), directory metadata at
@@ -32,9 +33,10 @@ type privateHierarchy struct {
 	l1i, l1d []*cache.Array
 	l2       []*cache.Array
 
-	vaultArr []*cache.Array       // per-core private LLC contents and coherence state
-	vaults   []*vault.Vault       // per-core vault timing
-	dir      *coherence.Directory // the view over vaultArr
+	vaultTags *cache.Group         // every core's vault tags, one set-major slab
+	vaultArr  []*cache.Array       // vaultTags.Arrays(): core c's private LLC contents and coherence state
+	vaults    []*vault.Vault       // per-core vault timing
+	dir       *coherence.Directory // the view over vaultTags
 
 	// moesi enables the L1-D ownership cache (see markL1Writable): under
 	// MOESI an owned line stays owned until an invalidation or inclusion
@@ -51,23 +53,22 @@ type privateHierarchy struct {
 func newPrivateHierarchy(sys *System) *privateHierarchy {
 	cfg := sys.cfg
 	h := &privateHierarchy{
-		sys:      sys,
-		l1i:      make([]*cache.Array, cfg.Cores),
-		l1d:      make([]*cache.Array, cfg.Cores),
-		vaultArr: make([]*cache.Array, cfg.Cores),
-		vaults:   make([]*vault.Vault, cfg.Cores),
-		moesi:    cfg.Protocol == coherence.MOESI,
-		homeDiv:  sim.NewDivisor(uint64(cfg.Cores)),
+		sys:       sys,
+		l1i:       make([]*cache.Array, cfg.Cores),
+		l1d:       make([]*cache.Array, cfg.Cores),
+		vaultTags: cache.NewGroup(cfg.Cores, scaledPow2(cfg.VaultCapacity, cfg.Scale), cfg.VaultWays, cache.LRU),
+		vaults:    make([]*vault.Vault, cfg.Cores),
+		moesi:     cfg.Protocol == coherence.MOESI,
+		homeDiv:   sim.NewDivisor(uint64(cfg.Cores)),
 	}
-	per := scaledPow2(cfg.VaultCapacity, cfg.Scale)
+	h.vaultArr = h.vaultTags.Arrays()
 	l1 := scaledL1(cfg.L1Size, cfg.Scale)
 	for c := 0; c < cfg.Cores; c++ {
 		h.l1i[c] = cache.NewArray(l1, cfg.L1Ways, cache.LRU)
 		h.l1d[c] = cache.NewArray(l1, cfg.L1Ways, cache.LRU)
-		h.vaultArr[c] = cache.NewArray(per, cfg.VaultWays, cache.LRU)
 		h.vaults[c] = vault.New(sys.engine, cfg.VaultTiming)
 	}
-	h.dir = coherence.NewDirectory(h.vaultArr, cfg.Protocol)
+	h.dir = coherence.NewDirectory(h.vaultTags, cfg.Protocol)
 	if cfg.L2Size > 0 {
 		h.l2 = make([]*cache.Array, cfg.Cores)
 		for c := 0; c < cfg.Cores; c++ {
