@@ -293,8 +293,8 @@ func BenchmarkSchedulerProbeCalendar(b *testing.B) {
 // rotating over the cores) — and returns the accesses performed.
 func arrayProbe() uint64 {
 	const ops = 1 << 20
-	l1 := cache.NewArray(2<<10, 8, cache.LRU)                  // scaled L1 shape
-	vaults := cache.NewGroup(16, 8<<20, 1, cache.LRU).Arrays() // scaled 256MB vaults at Scale 32
+	l1 := cache.NewArray(2<<10, 8, cache.LRU)                      // scaled L1 shape
+	vaults := cache.NewGroup(16, 8<<20, 1, cache.LRU, 35).Arrays() // scaled 256MB vaults at Scale 32, 35-bit lines
 	rng := sim.NewRNG(0x5EED)
 	l1Lines := uint64(l1.SizeBytes()/mem.LineSize) * 2 // 2x capacity: conflicts
 	vaultLines := uint64(vaults[0].SizeBytes()/mem.LineSize) * 2
@@ -420,7 +420,7 @@ func BenchmarkStreamProbeBatched(b *testing.B) { benchStreamProbe(b, true) }
 // directory.
 func BenchmarkDirectoryOps(b *testing.B) {
 	const cores, sets = 16, 4096
-	g := cache.NewGroup(cores, sets*mem.LineSize, 1, cache.LRU)
+	g := cache.NewGroup(cores, sets*mem.LineSize, 1, cache.LRU, 35)
 	vaults := g.Arrays()
 	d := coherence.NewDirectory(g, coherence.MOESI)
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,12 @@
 // conveniences Contains and Invalidate built on them. The slot follows
 // from the geometry: an associative array stores an 8-byte word with an
 // in-word recency stamp, and a direct-mapped array packs each slot into
-// exactly the bits it needs. Like-shaped arrays — SILO's per-core vaults —
+// exactly the bits it needs: the tag bits a line address of the array's
+// width (lineBits, NewGroup) keeps outside the set index, plus the state.
+// A system derives that width from its sources' address limit
+// (workload.Source.AddrLimit, pinned by TestSourceAddrLimit), so the
+// 35-bit line addresses of a synthetic 16-core system give Scale-1 vault
+// slots of 16 bits. Like-shaped arrays — SILO's per-core vaults —
 // can share one set-major slab as a Group, so a line's slots in every
 // member are adjacent (Group.Row). A randomized differential test
 // (differential_test.go) drives the API on both layouts, lone and
@@ -90,8 +95,8 @@ const (
 // exactly 8 bytes per way — one cache line for the whole set at the
 // simulated 8-way geometries. Folding the stamp into the word (instead of
 // the former side slice) removes the second line a hit used to dirty. The
-// 40-bit tag field bounds addresses to 2^46 B, far above the workload
-// address map's 2^42 ceiling (internal/workload); InsertAt enforces it.
+// 40-bit tag field bounds every array's line-address width (MaxLineBits:
+// addresses below 2^46 B); InsertAt enforces the array's own width.
 //
 // Stamps are set-local, drawn from a per-set counter (setTick, a dense
 // uint32 per set — 16x smaller than the former per-slot stamp slice and
@@ -110,11 +115,17 @@ const (
 	slotStampMask  = uint64(slotStampMax) << slotStampShift
 	slotTagShift   = slotStampShift + slotStampBits
 	tagBits        = 64 - slotTagShift
-	maxSlotTag     = 1<<tagBits - 1
 )
 
-// A direct-mapped array packs each slot into exactly
-// width = tagBits - log2(sets) + packedStateBits bits, at most 43 —
+// MaxLineBits is the widest line address (address / mem.LineSize) an
+// array holds: the 8-byte slot word's tag field, so addresses stay below
+// 2^46 B.
+const MaxLineBits = tagBits
+
+// A direct-mapped array of lineBits-wide line addresses packs each slot
+// into exactly width = lineBits - log2(sets) + packedStateBits bits (the
+// state alone once lineBits ≤ log2(sets); a banked array keeps its bank
+// bits even then), at most MaxLineBits + 3 = 43 —
 //
 //	bits 0-2    State (Invalid = 0: an empty slot; there is no valid bit)
 //	bits 3-     the tag's bits outside the set index: those above it,
@@ -183,6 +194,10 @@ type Array struct {
 	mask    uint64
 	setBits uint
 
+	// lineBits bounds the line addresses the array holds: InsertAt
+	// panics on a tag of 2^lineBits or more.
+	lineBits uint
+
 	// setTick holds each set's stamp counter (nil unless lru): the next
 	// touch or fill in the set stamps setTick[s]+1. The counter never
 	// trails a live stamp, so every new stamp is the set's strict maximum.
@@ -199,21 +214,21 @@ type Array struct {
 	occupied int
 }
 
-// NewBankedArray builds an array that is one bank of a larger
-// address-interleaved cache: the low bankBits of the line index select the
-// bank (see BankSelect), so the set index must come from the bits above
-// them. Using the same bits for both would fold every line in the bank
-// onto a single set and shrink the effective capacity to ways lines.
-func NewBankedArray(sizeBytes int64, ways int, policy Policy, bankBits uint) *Array {
-	a := NewArray(sizeBytes, ways, policy)
-	a.shift = bankBits
-	return a
+// NewBankedArray builds an array of lineBits-wide line addresses (see
+// NewGroup) that is one bank of a larger address-interleaved cache: the
+// low bankBits of the line index select the bank (see BankSelect), so the
+// set index must come from the bits above them. Using the same bits for
+// both would fold every line in the bank onto a single set and shrink the
+// effective capacity to ways lines.
+func NewBankedArray(sizeBytes int64, ways int, policy Policy, bankBits, lineBits uint) *Array {
+	return newGroup(1, sizeBytes, ways, policy, bankBits, lineBits).arrays[0]
 }
 
-// NewArray builds an array of the given total size in bytes. Size must be a
-// multiple of ways*mem.LineSize and the resulting set count a power of two.
+// NewArray builds an array of the given total size in bytes that holds
+// any line address up to MaxLineBits wide. Size must be a multiple of
+// ways*mem.LineSize and the resulting set count a power of two.
 func NewArray(sizeBytes int64, ways int, policy Policy) *Array {
-	return NewGroup(1, sizeBytes, ways, policy).arrays[0]
+	return newGroup(1, sizeBytes, ways, policy, 0, MaxLineBits).arrays[0]
 }
 
 // MaxGroup bounds a Group's size: Row reports its members as a uint32
@@ -232,10 +247,22 @@ type Group struct {
 }
 
 // NewGroup builds n arrays of the given size, ways and policy (NewArray's
-// rules) over one slab. n must lie in [1, MaxGroup].
-func NewGroup(n int, sizeBytes int64, ways int, policy Policy) *Group {
+// rules) over one slab. n must lie in [1, MaxGroup]. Every line address
+// the members hold is below 2^lineBits lines (lineBits at most
+// MaxLineBits); a direct-mapped member's slot keeps only the tag bits
+// that bound leaves outside its set index.
+func NewGroup(n int, sizeBytes int64, ways int, policy Policy, lineBits uint) *Group {
+	return newGroup(n, sizeBytes, ways, policy, 0, lineBits)
+}
+
+// newGroup is NewGroup with the set index taken above the low shift bits
+// of the line index (NewBankedArray).
+func newGroup(n int, sizeBytes int64, ways int, policy Policy, shift, lineBits uint) *Group {
 	if n < 1 || n > MaxGroup {
 		panic(fmt.Sprintf("cache: group of %d arrays outside [1,%d]", n, MaxGroup))
+	}
+	if lineBits > MaxLineBits {
+		panic(fmt.Sprintf("cache: %d-bit line addresses exceed the %d-bit tag field", lineBits, MaxLineBits))
 	}
 	if ways <= 0 {
 		panic("cache: non-positive ways")
@@ -256,15 +283,18 @@ func NewGroup(n int, sizeBytes int64, ways int, policy Policy) *Group {
 		sets:     int(sets),
 		ways:     ways,
 		policy:   policy,
+		shift:    shift,
 		lru:      policy == LRU && ways > 1,
 		n:        n,
 		row:      n * ways,
 		rowShift: log2Exact(n * ways),
 		setBits:  setBits,
+		lineBits: lineBits,
 		rndst:    0x9E3779B97F4A7C15,
 	}
 	if ways == 1 {
-		proto.width = tagBits - setBits + packedStateBits
+		// The slot holds the widest tag's kept bits and the state.
+		proto.width = uint(bits.Len64(proto.packedTag(1<<lineBits-1) | packedStateMask))
 		proto.mask = 1<<proto.width - 1
 		proto.packed = make([]byte, packedBytes(n*int(sets), proto.width))
 	} else {
@@ -662,9 +692,9 @@ func (a *Array) InsertAt(line mem.LineAddr, st State) (w Way, ev Eviction, evict
 		panic("cache: inserting invalid state")
 	}
 	t := tag(line)
-	if t > maxSlotTag {
-		panic(fmt.Sprintf("cache: line tag %#x exceeds the %d-bit packed-slot tag field (address beyond 2^46)",
-			t, tagBits))
+	if t>>a.lineBits != 0 {
+		panic(fmt.Sprintf("cache: line tag %#x exceeds the array's %d-bit line addresses (address at or beyond 2^%d)",
+			t, a.lineBits, a.lineBits+6))
 	}
 	s := int(t >> a.shift & uint64(a.sets-1))
 	if a.packed != nil {

@@ -304,57 +304,78 @@ func TestDemoteTieBreaksByLowestWay(t *testing.T) {
 	}
 }
 
-// TestOversizedTagPanics pins the address bound: tags beyond the 40-bit
-// field must fail loudly on insert, not alias silently, in both slot
-// layouts — and the largest admitted tag round-trips.
+// TestOversizedTagPanics pins the address bound an array derives from
+// its line-address width: the top line of the bound round-trips, with
+// every tag bit a packed slot keeps, and one line past it fails loudly
+// on insert rather than aliasing silently — in both slot layouts, lone,
+// grouped and banked, at the 35-bit width of a synthetic 16-core system
+// and at MaxLineBits.
 func TestOversizedTagPanics(t *testing.T) {
-	for _, c := range []struct {
-		sets, ways int
-		over       mem.LineAddr
-	}{
-		{2, 2, mem.LineAddr(uint64(1) << 47)},
-		{4096, 1, lineAddr(maxSlotTag + 1)}, // packed 31-bit slots
-	} {
-		a := NewArray(int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU)
-		top := lineAddr(maxSlotTag)
-		a.Insert(top, Modified)
-		if a.Lookup(top) != Modified {
-			t.Fatalf("%dx%d: top tag did not round-trip", c.sets, c.ways)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%dx%d: expected panic for a tag beyond 2^40", c.sets, c.ways)
+	for _, lineBits := range []uint{35, MaxLineBits} {
+		for _, c := range []struct {
+			name       string
+			sets, ways int
+			shift      uint
+			n          int
+		}{
+			{"associative", 2, 2, 0, 1},
+			{"packed", 4096, 1, 0, 1},
+			{"packed group", 4096, 1, 0, 3},
+			{"packed bank", 4096, 1, 4, 1},
+		} {
+			g := newGroup(c.n, int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU, c.shift, lineBits)
+			a := g.arrays[c.n-1]
+			top := lineAddr(1<<lineBits - 1)
+			a.Insert(top, Modified)
+			if a.Lookup(top) != Modified {
+				t.Fatalf("%s, %d-bit lines: the top line did not round-trip", c.name, lineBits)
+			}
+			a.ForEach(func(line mem.LineAddr, st State) {
+				if line != top || st != Modified {
+					t.Fatalf("%s, %d-bit lines: ForEach lists %#x=%v, want the top line", c.name, lineBits, uint64(line), st)
 				}
+			})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s, %d-bit lines: expected a panic one line past the bound", c.name, lineBits)
+					}
+				}()
+				a.Insert(lineAddr(1<<lineBits), Shared)
 			}()
-			a.Insert(c.over, Shared)
-		}()
+		}
 	}
 }
 
 // TestDirectMappedSlotBytes pins the slab each layout holds, by its
-// length rather than by a heap delta: a direct-mapped group of n arrays
-// of sets sets packs n·sets slots of exactly 43 − log2(sets) bits into
-// ceil(n·sets·width/64) words plus one padding word, and an associative
-// array keeps the 8-byte word its recency stamp needs. The widths are
-// written out, so a slot one bit wider fails.
+// length rather than by a heap delta, for a line-address width and a
+// geometry: a direct-mapped group of n arrays of sets sets packs n·sets
+// slots of exactly lineBits − log2(sets) + 3 bits (3, the state alone,
+// once lineBits ≤ log2 sets) into ceil(n·sets·width/64) words plus one
+// padding word, and an associative array keeps the 8-byte word its
+// recency stamp needs. The widths are written out, so a slot one bit
+// wider or narrower fails.
 func TestDirectMappedSlotBytes(t *testing.T) {
 	for _, c := range []struct {
 		name        string
+		lineBits    uint
 		n           int
 		size        int64
 		ways        int
 		width, want int // want: slab words
 	}{
-		{"Scale-1 vaults, 16 cores", 16, 256 << 20, 1, 21, (16<<22*21+63)/64 + 1},
-		{"Scale-4 vaults, 16 cores", 16, 64 << 20, 1, 23, (16<<20*23+63)/64 + 1},
-		{"Scale-32 vaults, 16 cores", 16, 8 << 20, 1, 26, (16<<17*26+63)/64 + 1},
-		{"Scale-32 vaults, 32 cores", 32, 8 << 20, 1, 26, (32<<17*26+63)/64 + 1},
-		{"one-set array", 1, mem.LineSize, 1, 43, 1 + 1},
-		{"8-way array", 1, 8 << 20, 8, 0, 1 << 17},
-		{"4-way vaults, 16 cores", 16, 8 << 20, 4, 0, 16 << 17},
+		{"Scale-1 vaults, 16 cores", 35, 16, 256 << 20, 1, 16, (16<<22*16+63)/64 + 1},
+		{"Scale-4 vaults, 16 cores", 35, 16, 64 << 20, 1, 18, (16<<20*18+63)/64 + 1},
+		{"Scale-32 vaults, 16 cores", 35, 16, 8 << 20, 1, 21, (16<<17*21+63)/64 + 1},
+		{"Scale-32 vaults, 32 cores", 36, 32, 8 << 20, 1, 22, (32<<17*22+63)/64 + 1},
+		{"Scale-1 vaults, sharing group 15", 40, 16, 256 << 20, 1, 21, (16<<22*21+63)/64 + 1},
+		{"Scale-32 vaults, sharing group 15", 40, 16, 8 << 20, 1, 26, (16<<17*26+63)/64 + 1},
+		{"the state alone", 12, 4, 4096 * mem.LineSize, 1, 3, (4*4096*3+63)/64 + 1},
+		{"one-set array", 40, 1, mem.LineSize, 1, 43, 1 + 1},
+		{"8-way array", 35, 1, 8 << 20, 8, 0, 1 << 17},
+		{"4-way vaults, 16 cores", 35, 16, 8 << 20, 4, 0, 16 << 17},
 	} {
-		g := NewGroup(c.n, c.size, c.ways, LRU)
+		g := NewGroup(c.n, c.size, c.ways, LRU, c.lineBits)
 		for _, a := range g.arrays {
 			words, shared := len(a.slab), a.slab != nil && &a.slab[0] == &g.arrays[0].slab[0]
 			if a.packed != nil {
@@ -367,8 +388,12 @@ func TestDirectMappedSlotBytes(t *testing.T) {
 		}
 	}
 	// A Scale-32 Vaults-Sh bank: 16 banks, so 4 bank bits kept in the slot.
-	if a := NewBankedArray(8<<20, 1, LRU, 4); a.width != 26 || len(a.packed) != 8*((1<<17*26+63)/64+1) {
+	if a := NewBankedArray(8<<20, 1, LRU, 4, 35); a.width != 21 || len(a.packed) != 8*((1<<17*21+63)/64+1) {
 		t.Fatalf("banked array: %d-bit slots in %d bytes", a.width, len(a.packed))
+	}
+	// Lone L1/L2 arrays hold any line address.
+	if a := NewArray(64*mem.LineSize, 1, LRU); a.lineBits != MaxLineBits || a.width != MaxLineBits-6+3 {
+		t.Fatalf("NewArray: %d-bit lines in %d-bit slots", a.lineBits, a.width)
 	}
 }
 
@@ -377,7 +402,7 @@ func TestDirectMappedSlotBytes(t *testing.T) {
 // key carries no member, so the directory's cross-checks hold.
 func TestGroupKeyProbesEveryMember(t *testing.T) {
 	for _, ways := range []int{1, 4} {
-		g := NewGroup(5, 64*int64(ways)*mem.LineSize, ways, LRU)
+		g := NewGroup(5, 64*int64(ways)*mem.LineSize, ways, LRU, 35)
 		l := line(0x123457)
 		g.arrays[3].Insert(l, Owned)
 		for d, a := range g.arrays {
@@ -395,16 +420,20 @@ func TestGroupKeyProbesEveryMember(t *testing.T) {
 	}
 }
 
-// TestNewGroupPanics: a group holds 1 to MaxGroup arrays.
+// TestNewGroupPanics: a group holds 1 to MaxGroup arrays of line
+// addresses at most MaxLineBits wide.
 func TestNewGroupPanics(t *testing.T) {
-	for _, n := range []int{0, MaxGroup + 1} {
+	for _, c := range []struct {
+		n        int
+		lineBits uint
+	}{{0, 35}, {MaxGroup + 1, 35}, {1, MaxLineBits + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("expected panic for a group of %d", n)
+					t.Errorf("expected panic for a group of %d with %d-bit lines", c.n, c.lineBits)
 				}
 			}()
-			NewGroup(n, 64*mem.LineSize, 1, LRU)
+			NewGroup(c.n, 64*mem.LineSize, 1, LRU, c.lineBits)
 		}()
 	}
 }

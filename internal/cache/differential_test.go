@@ -234,13 +234,11 @@ type arrayDiff struct {
 	models    []*modelArray
 }
 
-func newArrayDiff(sets, ways int, shift uint, n int) *arrayDiff {
+func newArrayDiff(sets, ways int, shift, lineBits uint, n int) *arrayDiff {
 	size := int64(sets) * int64(ways) * mem.LineSize
-	d := &arrayDiff{n: n, ref: NewGroup(n, size, ways, LRU), fast: NewGroup(n, size, ways, LRU)}
-	for _, g := range []*Group{d.ref, d.fast} {
-		for _, a := range g.arrays {
-			a.shift = shift // what NewBankedArray sets
-		}
+	d := &arrayDiff{n: n,
+		ref:  newGroup(n, size, ways, LRU, shift, lineBits),
+		fast: newGroup(n, size, ways, LRU, shift, lineBits),
 	}
 	for range n {
 		d.models = append(d.models, newModelArray(sets, ways, shift))
@@ -248,13 +246,13 @@ func newArrayDiff(sets, ways int, shift uint, n int) *arrayDiff {
 	return d
 }
 
-func runArrayDifferential(t *testing.T, sets, ways int, shift uint, n int, seed uint64, ops int) {
+func runArrayDifferential(t *testing.T, sets, ways int, shift, lineBits uint, n int, seed uint64, ops int) {
 	t.Helper()
-	d := newArrayDiff(sets, ways, shift, n)
+	d := newArrayDiff(sets, ways, shift, lineBits, n)
 	rng := sim.NewRNG(seed)
 
-	// Address pool ~2x capacity so sets conflict. Tags span the whole
-	// 40-bit field, and on banked rows carry a non-zero bank id in the
+	// Address pool ~2x capacity so sets conflict. Tags span the arrays'
+	// whole lineBits-wide bound, and on banked rows carry a non-zero bank id in the
 	// low shift bits, so every tag bit a slot keeps must round-trip
 	// through ForEach, the row scans and eviction reports. Every eighth
 	// line has no tag bits outside its set index, so an empty packed slot
@@ -272,7 +270,7 @@ func runArrayDifferential(t *testing.T, sets, ways int, shift uint, n int, seed 
 	}
 	lines := make([]mem.LineAddr, pool)
 	for i := range lines {
-		tg := rng.Uint64n(maxSlotTag+1)&^(1<<shift-1) | bank
+		tg := rng.Uint64n(1<<lineBits)&^(1<<shift-1) | bank
 		setMask := uint64(sets-1) << shift
 		if hot != nil {
 			tg = tg&^setMask | hot[rng.Uint64n(uint64(len(hot)))]<<shift
@@ -280,7 +278,7 @@ func runArrayDifferential(t *testing.T, sets, ways int, shift uint, n int, seed 
 		if i%8 == 0 {
 			tg = tg&setMask | bank
 		}
-		lines[i] = lineAddr(tg)
+		lines[i] = lineAddr(tg & (1<<lineBits - 1))
 	}
 	every := 512
 	if sets*n > 1<<16 {
@@ -445,45 +443,60 @@ func (d *arrayDiff) compare(t *testing.T, op int) {
 // TestArrayDifferential exercises the three implementations across the
 // geometries the simulated systems use: multi-way L1/LLC shapes, the
 // direct-mapped vault shape, and a banked (shifted) bank shape, alone
-// and as groups of 3, 16 and 32 members. The packed direct-mapped widths
-// run from 21 bits (a Scale-1 vault) to 43 (a one-set array), so slots
-// straddle 64-bit words at every offset.
+// and as groups of 3, 16 and 32 members, at line-address widths from the
+// 35 bits of a synthetic 16-core system to MaxLineBits. The packed
+// direct-mapped widths run from 3 bits (the state alone, where the set
+// index covers every line bit) through 16, 18 and 21 (Scale-1, -4 and -32
+// vaults of 35-bit lines) to 43 (a one-set array), so slots straddle
+// 64-bit words at every offset.
 func TestArrayDifferential(t *testing.T) {
 	cases := []struct {
 		sets, ways int
 		shift      uint
+		lineBits   uint
 		n          int  // group size
 		width      uint // packed slot bits; 0 for the 8-byte layout
 	}{
-		{4, 8, 0, 1, 0},         // L1 shape
-		{8, 16, 0, 1, 0},        // LLC bank shape
-		{64, 1, 0, 1, 37},       // small direct-mapped vault
-		{16, 1, 4, 1, 39},       // small banked direct-mapped (VaultsShared bank)
-		{8, 2, 2, 1, 0},         // banked set-associative
-		{1, 4, 0, 1, 0},         // single-set stress
-		{4096, 1, 0, 1, 31},     // direct-mapped vault
-		{4096, 1, 4, 1, 31},     // banked direct-mapped
-		{1, 1, 0, 1, 43},        // one-set direct-mapped: the widest slot
-		{1 << 22, 1, 0, 1, 21},  // a Scale-1 vault
-		{1 << 20, 1, 0, 3, 23},  // Scale-4 vaults, a group of 3
-		{1 << 17, 1, 0, 16, 26}, // Scale-32 vaults, 16 cores
-		{64, 1, 0, 32, 37},      // 32 cores
-		{4096, 1, 4, 16, 31},    // banked direct-mapped group
-		{16, 4, 0, 16, 0},       // 4-way vaults (the vault_ways override)
-		{8, 2, 2, 3, 0},         // banked associative group, a row of 6 words
+		{4, 8, 0, 40, 1, 0},         // L1 shape
+		{8, 16, 0, 40, 1, 0},        // LLC bank shape
+		{8, 16, 4, 35, 1, 0},        // LLC bank of 35-bit lines
+		{64, 1, 0, 40, 1, 37},       // small direct-mapped vault
+		{16, 1, 4, 40, 1, 39},       // small banked direct-mapped (VaultsShared bank)
+		{8, 2, 2, 40, 1, 0},         // banked set-associative
+		{1, 4, 0, 40, 1, 0},         // single-set stress
+		{4096, 1, 0, 40, 1, 31},     // direct-mapped vault
+		{4096, 1, 4, 40, 1, 31},     // banked direct-mapped
+		{1, 1, 0, 40, 1, 43},        // one-set direct-mapped: the widest slot
+		{1 << 22, 1, 0, 40, 1, 21},  // a Scale-1 vault of a group-15 scenario
+		{1 << 20, 1, 0, 40, 3, 23},  // Scale-4 vaults of a group-15 scenario, a group of 3
+		{1 << 17, 1, 0, 40, 16, 26}, // Scale-32 vaults of a group-15 scenario, 16 cores
+		{1 << 22, 1, 0, 35, 1, 16},  // a Scale-1 vault
+		{1 << 20, 1, 0, 35, 3, 18},  // Scale-4 vaults, a group of 3
+		{1 << 17, 1, 0, 35, 16, 21}, // Scale-32 vaults, 16 cores
+		{1 << 17, 1, 4, 35, 1, 21},  // a Scale-32 Vaults-Sh bank
+		{64, 1, 0, 40, 32, 37},      // 32 cores
+		{4096, 1, 4, 40, 16, 31},    // banked direct-mapped group
+		{4096, 1, 0, 10, 16, 3},     // the state alone: lineBits ≤ log2 sets
+		{16, 1, 4, 6, 1, 7},         // the state and the bank bits alone
+		{16, 4, 0, 40, 16, 0},       // 4-way vaults (the vault_ways override)
+		{8, 2, 2, 40, 3, 0},         // banked associative group, a row of 6 words
 	}
 	for ci, c := range cases {
 		c := c
-		if got := NewGroup(c.n, int64(c.sets*c.ways)*mem.LineSize, c.ways, LRU).arrays[0].width; got != c.width {
-			t.Fatalf("%dsx%dw: packed width %d, want %d", c.sets, c.ways, got, c.width)
+		size := int64(c.sets*c.ways) * mem.LineSize
+		if got := newGroup(c.n, size, c.ways, LRU, c.shift, c.lineBits).arrays[0].width; got != c.width {
+			t.Fatalf("%dsx%dw, %d-bit lines: packed width %d, want %d", c.sets, c.ways, c.lineBits, got, c.width)
 		}
 		name := fmt.Sprintf("%dsx%dw_shift%d", c.sets, c.ways, c.shift)
+		if c.lineBits != MaxLineBits {
+			name += fmt.Sprintf("_line%d", c.lineBits)
+		}
 		if c.n > 1 {
 			name += fmt.Sprintf("_group%d", c.n)
 		}
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				runArrayDifferential(t, c.sets, c.ways, c.shift, c.n, seed*7919+uint64(ci), 6000)
+				runArrayDifferential(t, c.sets, c.ways, c.shift, c.lineBits, c.n, seed*7919+uint64(ci), 6000)
 			}
 		})
 	}

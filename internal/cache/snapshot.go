@@ -26,15 +26,17 @@ func (g *Group) Checkpoint(c *checkpoint.Codec) {
 // checkpointState walks an array's own mutable state: the
 // random-replacement xorshift state, occupancy, per-set recency counters
 // and way hints, decoded in place. Geometry (sets/ways/policy/shift/lru)
-// is shape: the receiver is always freshly constructed from the live
-// Config, its layout follows from it, and a checkpoint cut for another
-// geometry fails the walk.
+// and the line-address width, which sizes a packed slot, are shape: the
+// receiver is always freshly constructed from the live Config and
+// sources, its layout follows from them, and a checkpoint cut for
+// another geometry or width fails the walk.
 func (a *Array) checkpointState(c *checkpoint.Codec) {
 	checkpoint.Shape(c, "cache.Array sets", a.sets, checkpoint.Int)
 	checkpoint.Shape(c, "cache.Array ways", a.ways, checkpoint.Int)
 	checkpoint.Shape(c, "cache.Array policy", a.policy, checkpoint.Uint)
 	checkpoint.Shape(c, "cache.Array shift", a.shift, checkpoint.Int)
 	checkpoint.Shape(c, "cache.Array lru", a.lru, checkpoint.Bool)
+	checkpoint.Shape(c, "cache.Array line bits", a.lineBits, checkpoint.Int)
 	checkpoint.Uint(c, &a.rndst)
 	checkpoint.Int(c, &a.occupied)
 	c.Check(a.occupied >= 0 && a.occupied <= a.sets*a.ways,

@@ -63,11 +63,11 @@ const Magic = "SILOCKPT"
 // FormatVersion is bumped whenever any component's walk changes the
 // byte layout; a mismatch makes Open fail and the caller rebuild from
 // scratch. core.TestCheckpointImageGolden pins the layout.
-const FormatVersion = 6
+const FormatVersion = 7
 
 // FormatTag names the format generation inside content-hash keys, so
 // key derivation itself is versioned alongside the byte layout.
-const FormatTag = "ckpt-v6"
+const FormatTag = "ckpt-v7"
 
 // maxSliceLen caps slice lengths read before the CRC has been verified
 // when the source's size is unknown (a Reader over a plain stream). It
@@ -206,7 +206,9 @@ func writeSparse[T Word](w *Writer, s []T) {
 // body: per chunk of up to chunkElems fields, ceil(n/64) mask words as in
 // writeSparse, then the nonzero fields in ceil(width/8) bytes each. The
 // 64 fields of each mask word fill exactly width words of s (fewer at its
-// end), so it reads those words once and skips them when all are zero.
+// end), so it reads those words once, skips them when all are zero, and
+// otherwise extracts only the fields that overlap a nonzero word: a field
+// within zero words is zero.
 func writePacked(w *Writer, s []byte, width uint, n int) {
 	w.word(uint64(n), 8)
 	size := int(width+7) / 8
@@ -233,14 +235,24 @@ func writePacked(w *Writer, s []byte, width uint, n int) {
 				continue
 			}
 			clear(blk[words : width+1])
-			for f := 0; f < 64 && 64*j+f < k; f++ {
-				o := uint(f) * width
-				if v := (blk[o/64]>>(o%64) | blk[o/64+1]<<(63-o%64)<<1) & fieldMask; v != 0 {
-					i := 64*j + f
-					mask[i/8] |= 1 << (i % 8) // bit i%64 of little-endian word i/64
-					binary.LittleEndian.PutUint64(w.buf[end:], v)
-					end += size
+			fields := min(64, k-64*j)
+			next := 0 // the first field not yet extracted
+			for q := range words {
+				if blk[q] == 0 {
+					continue
 				}
+				// Fields first to last overlap word q's bits 64q..64q+63.
+				first, last := max(next, 64*q/int(width)), min(fields-1, (64*q+63)/int(width))
+				for f := first; f <= last; f++ {
+					o := uint(f) * width
+					if v := (blk[o/64]>>(o%64) | blk[o/64+1]<<(63-o%64)<<1) & fieldMask; v != 0 {
+						i := 64*j + f
+						mask[i/8] |= 1 << (i % 8) // bit i%64 of little-endian word i/64
+						binary.LittleEndian.PutUint64(w.buf[end:], v)
+						end += size
+					}
+				}
+				next = max(next, last+1)
 			}
 		}
 		w.write(w.buf[:end])

@@ -544,12 +544,12 @@ func testPacked(n int, width uint) []byte {
 }
 
 // TestPackedRoundTrip: packed slabs of every width a cache slot takes
-// (21 to 43 bits) and the bounds (1 and 64), at lengths around a mask
+// (3 to 43 bits) and the bounds (1 and 64), at lengths around a mask
 // word and a chunk, with whole mask words of dead fields, decode byte for
 // byte into an all-zero receiver, and a field reads back bit by bit where
 // Packed's layout puts it.
 func TestPackedRoundTrip(t *testing.T) {
-	for _, width := range []uint{1, 21, 23, 26, 31, 37, 43, 64} {
+	for _, width := range []uint{1, 3, 16, 18, 21, 23, 26, 31, 37, 43, 64} {
 		for _, n := range []int{0, 1, 63, 64, chunkElems, chunkElems + 1, 9000} {
 			want := testPacked(n, width)
 			payload := encode(t, func(c *Codec) { Packed(c, want, width, n) })
@@ -570,6 +570,34 @@ func TestPackedRoundTrip(t *testing.T) {
 				}
 				if f := testField(i, width); f != v {
 					t.Fatalf("field %d of %d bits: its bits read %#x, want %#x", i, width, v, f)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedSingleLiveField: a slab whose only live field is f, holding
+// its lowest bit, its highest bit or all of them, encodes as f's mask bit
+// and f alone and decodes back, for every f of two mask words. The
+// encoder extracts only the fields that overlap a nonzero word, so a
+// field whose live bits all lie in the word after its first one must
+// still be found.
+func TestPackedSingleLiveField(t *testing.T) {
+	for _, width := range []uint{3, 16, 21, 43, 64} {
+		const n = 128
+		for f := range n {
+			for _, v := range []uint64{1, 1 << (width - 1), 1<<width - 1} {
+				s := make([]byte, 8*((n*int(width)+63)/64+1))
+				orPackedField(s, f, width, v)
+				payload := encode(t, func(c *Codec) { Packed(c, s, width, n) })
+				size := int(width+7) / 8
+				if body := len(payload) - 8 - 4; body != 16+size {
+					t.Fatalf("%d-bit field %d = %#x: a body of %d bytes, want %d", width, f, v, body, 16+size)
+				}
+				got := make([]byte, len(s))
+				c := NewDecoder(NewReader(bytes.NewReader(payload)))
+				if Packed(c, got, width, n); c.Err() != nil || !bytes.Equal(got, s) {
+					t.Fatalf("%d-bit field %d = %#x: decoded %v, slab equal %v", width, f, v, c.Err(), bytes.Equal(got, s))
 				}
 			}
 		}

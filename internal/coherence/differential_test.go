@@ -160,7 +160,7 @@ func TestDirectoryStoreDifferential(t *testing.T) {
 // not allocate once the table has reached its working size.
 func TestSnoopSteadyStateAllocFree(t *testing.T) {
 	const cores, lines = 16, 512
-	f := NewSnoopFilter(cores)
+	f := NewSnoopFilter(cores, 35)
 	line := func(i uint64) mem.LineAddr { return mem.LineAddr(i * mem.LineSize) }
 	// Reach steady state: every line tracked, table at final size.
 	for i := uint64(0); i < lines; i++ {
@@ -186,7 +186,7 @@ func TestSnoopSteadyStateAllocFree(t *testing.T) {
 // directory's read/write/evict cycle over its vaults.
 func TestDirectorySteadyStateAllocFree(t *testing.T) {
 	const cores, lines = 16, 512
-	d := newVaultDir(cores, MOESI, 4096, 1)
+	d := newVaultDir(cores, MOESI, 4096, 1, 35)
 	line := func(i uint64) mem.LineAddr { return mem.LineAddr(i * mem.LineSize) }
 	for i := uint64(0); i < lines; i++ {
 		d.Read(line(i), int(i%cores))

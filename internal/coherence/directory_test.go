@@ -13,7 +13,7 @@ func line(n uint64) mem.LineAddr { return mem.LineAddr(n * mem.LineSize) }
 // newTestDir builds the transition tests' directory: 16 cores over
 // direct-mapped vaults of 64 sets, so the few lines each test uses never
 // conflict.
-func newTestDir(proto Protocol) *vaultDir { return newVaultDir(16, proto, 64, 1) }
+func newTestDir(proto Protocol) *vaultDir { return newVaultDir(16, proto, 64, 1, 35) }
 
 func TestFirstReadFillsExclusive(t *testing.T) {
 	d := newTestDir(MOESI)
@@ -231,10 +231,10 @@ func TestEvictNotHeldPanics(t *testing.T) {
 // vaults (cache.MaxGroup), one per core, and a core outside it panics.
 func TestNewDirectoryPanics(t *testing.T) {
 	for name, build := range map[string]func(){
-		"0 cores":  func() { newVaultDir(0, MOESI, 64, 1) },
-		"33 cores": func() { newVaultDir(33, MOESI, 64, 1) },
+		"0 cores":  func() { newVaultDir(0, MOESI, 64, 1, 35) },
+		"33 cores": func() { newVaultDir(33, MOESI, 64, 1, 35) },
 		"core 4 of 4": func() {
-			newVaultDir(4, MOESI, 64, 1).Read(line(1), 4)
+			newVaultDir(4, MOESI, 64, 1, 35).Read(line(1), 4)
 		},
 	} {
 		func() {
@@ -263,7 +263,7 @@ func TestDirectoryInvariantsUnderRandomOps(t *testing.T) {
 			proto = MESI
 		}
 		const cores = 4
-		d := newVaultDir(cores, proto, 64, 1)
+		d := newVaultDir(cores, proto, 64, 1, 35)
 		held := map[mem.LineAddr]map[int]bool{} // reference presence
 		for _, op := range ops {
 			l := line(uint64(op) % 8)
@@ -317,7 +317,7 @@ func TestDirectoryInvariantsUnderRandomOps(t *testing.T) {
 func TestSingleOwnerProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const cores = 8
-		d := newVaultDir(cores, MOESI, 64, 1)
+		d := newVaultDir(cores, MOESI, 64, 1, 35)
 		for _, op := range ops {
 			l := line(uint64(op) % 4)
 			c := int(op>>2) % cores
@@ -373,7 +373,7 @@ func TestCheckInvariantsCatchesViolations(t *testing.T) {
 			"O under MESI":       {MESI, []holding{{2, cache.Owned}}, true},
 			"state out of range": {MOESI, []holding{{1, cache.State(5)}}, true},
 		} {
-			d := newVaultDir(4, c.proto, 16, ways)
+			d := newVaultDir(4, c.proto, 16, ways, 35)
 			l, other := line(3), line(3+16) // one set, two tags
 			for _, h := range c.held {
 				d.vaults[h.core].InsertAt(l, h.st)

@@ -39,7 +39,7 @@ func (m mapStore[V]) forEach(fn func(mem.LineAddr, V)) {
 
 // newMapSnoopFilter builds a snoop filter on the map reference.
 func newMapSnoopFilter(cores int) *SnoopFilter {
-	f := NewSnoopFilter(cores)
+	f := NewSnoopFilter(cores, 35)
 	f.entries = hotStore[l1entry]{lineStore: mapStore[l1entry]{}}
 	return f
 }

@@ -69,10 +69,11 @@ type lineValue[V any] interface {
 
 const (
 	// quotKeyBits bounds the tags (line address / LineSize) the compressed
-	// table can hold. The workload address map tops out below 2^42 bytes
-	// (tag < 2^36, see internal/workload's region bases), leaving 4 bits of
-	// headroom; put panics past the bound, and lookups of out-of-range keys
-	// report absent (nothing past the bound can have been stored).
+	// table can hold: addresses below 2^44 bytes. DefaultStore picks this
+	// table only for systems whose sources stay inside it (sharing groups
+	// 0-3 of a scenario, TestSourceAddrLimit); put panics past the bound,
+	// and lookups of out-of-range keys report absent (nothing past the
+	// bound can have been stored).
 	quotKeyBits = 38
 	quotKeyMask = uint64(1)<<quotKeyBits - 1
 

@@ -195,8 +195,19 @@ func TestQuotStoreKindGates(t *testing.T) {
 			t.Fatalf("%v BytesPerSlot: %d, want %d", kind, got, want)
 		}
 	}
-	if DefaultStore(16) != QuotTable || DefaultStore(17) != OpenTable {
-		t.Fatal("DefaultStore split wrong")
+	// The quotient table holds up to 16 cores and 38-bit line addresses
+	// (sharing groups 0-3); either bound past it takes the open table.
+	for _, c := range []struct {
+		cores    int
+		lineBits uint
+		want     StoreKind
+	}{
+		{16, 35, QuotTable}, {16, 38, QuotTable}, {16, 39, OpenTable}, {16, 40, OpenTable},
+		{1, 38, QuotTable}, {17, 35, OpenTable}, {32, 36, OpenTable},
+	} {
+		if got := DefaultStore(c.cores, c.lineBits); got != c.want {
+			t.Fatalf("DefaultStore(%d cores, %d-bit lines) = %v, want %v", c.cores, c.lineBits, got, c.want)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -232,7 +243,7 @@ func TestFullWidthEntries32Cores(t *testing.T) {
 			return newMapSnoopFilter(32), newMapLineDirectory(32, MOESI)
 		},
 		"vault-view": func() (*SnoopFilter, fullWidthDirectory) {
-			return newMapSnoopFilter(32), newVaultDir(32, MOESI, 64, 1)
+			return newMapSnoopFilter(32), newVaultDir(32, MOESI, 64, 1, 35)
 		},
 	} {
 		f, d := build()

@@ -139,10 +139,10 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	for _, g := range viewGeometries {
 		for _, proto := range []Protocol{MOESI, MESI} {
 			const cores = 8
-			d := newVaultDir(cores, proto, g.sets, g.ways)
+			d := newVaultDir(cores, proto, g.sets, g.ways, 35)
 			driveDirectory(d, cores, 3000)
 
-			r := newVaultDir(cores, proto, g.sets, g.ways)
+			r := newVaultDir(cores, proto, g.sets, g.ways, 35)
 			if err := roundTrip(d.group.Checkpoint, r.group.Checkpoint); err != nil {
 				t.Fatalf("%s/%v: vault group round trip: %v", g.name, proto, err)
 			}

@@ -59,10 +59,11 @@ func (l1entry) unpackValue(w uint64) l1entry {
 func (e l1entry) ownerField() uint64 { return uint64(e) >> l1ownerShift & 0x3F }
 
 // NewSnoopFilter builds a filter for up to 32 cores on the default line
-// table for the core count (quotient-compressed up to 16 cores, open
-// full-key beyond).
-func NewSnoopFilter(cores int) *SnoopFilter {
-	return NewSnoopFilterWithStore(cores, DefaultStore(cores))
+// table for the core count and the width of the line addresses it tracks
+// (quotient-compressed up to 16 cores and 38-bit lines, open full-key
+// beyond either).
+func NewSnoopFilter(cores int, lineBits uint) *SnoopFilter {
+	return NewSnoopFilterWithStore(cores, DefaultStore(cores, lineBits))
 }
 
 // NewSnoopFilterWithStore builds a filter on an explicit store

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSnoopReadNoOwner(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	fw, dirtied := f.Read(line(1), 0)
 	if fw != -1 || dirtied {
 		t.Fatalf("first read should come from LLC: %d %v", fw, dirtied)
@@ -17,7 +17,7 @@ func TestSnoopReadNoOwner(t *testing.T) {
 }
 
 func TestSnoopReadFromDirtyOwner(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	f.Write(line(1), 2)
 	fw, dirtied := f.Read(line(1), 5)
 	if fw != 2 || !dirtied {
@@ -32,7 +32,7 @@ func TestSnoopReadFromDirtyOwner(t *testing.T) {
 }
 
 func TestSnoopSelfReadDoesNotForward(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	f.Write(line(1), 2)
 	fw, dirtied := f.Read(line(1), 2)
 	if fw != -1 || dirtied {
@@ -41,7 +41,7 @@ func TestSnoopSelfReadDoesNotForward(t *testing.T) {
 }
 
 func TestSnoopWriteInvalidates(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	f.Read(line(1), 0)
 	f.Read(line(1), 1)
 	f.Read(line(1), 2)
@@ -58,7 +58,7 @@ func TestSnoopWriteInvalidates(t *testing.T) {
 }
 
 func TestSnoopWriteOverDirtyOwner(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	f.Write(line(1), 0)
 	inv, dirtied := f.Write(line(1), 1)
 	if len(inv) != 1 || inv[0] != 0 || !dirtied {
@@ -67,7 +67,7 @@ func TestSnoopWriteOverDirtyOwner(t *testing.T) {
 }
 
 func TestSnoopEvict(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	f.Write(line(1), 0)
 	f.Evict(line(1), 0, true)
 	if f.Entries() != 0 {
@@ -78,7 +78,7 @@ func TestSnoopEvict(t *testing.T) {
 }
 
 func TestSnoopInvalidateAll(t *testing.T) {
-	f := NewSnoopFilter(16)
+	f := NewSnoopFilter(16, 35)
 	f.Read(line(1), 0)
 	f.Read(line(1), 1)
 	got := f.InvalidateAll(line(1))
@@ -98,10 +98,10 @@ func TestSnoopFilterPanics(t *testing.T) {
 					t.Error("expected panic")
 				}
 			}()
-			NewSnoopFilter(n)
+			NewSnoopFilter(n, 35)
 		}()
 	}
-	f := NewSnoopFilter(4)
+	f := NewSnoopFilter(4, 35)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for bad core")
@@ -115,7 +115,7 @@ func TestSnoopFilterPanics(t *testing.T) {
 func TestSnoopInvariantsUnderRandomOps(t *testing.T) {
 	fn := func(ops []uint16) bool {
 		const cores = 4
-		f := NewSnoopFilter(cores)
+		f := NewSnoopFilter(cores, 35)
 		for _, op := range ops {
 			l := line(uint64(op) % 8)
 			c := int(op>>3) % cores

@@ -69,11 +69,12 @@ func (k StoreKind) String() string {
 	return "open-table"
 }
 
-// DefaultStore returns the store kind the default constructors use: the
-// quotient-compressed table where its sharer-mask budget allows, else the
+// DefaultStore returns the store kind the default constructors use for
+// cores cores and line addresses lineBits wide: the quotient-compressed
+// table where its sharer-mask budget and key domain allow, else the
 // full-key open table.
-func DefaultStore(cores int) StoreKind {
-	if cores <= quotMaxCores {
+func DefaultStore(cores int, lineBits uint) StoreKind {
+	if cores <= quotMaxCores && lineBits <= quotKeyBits {
 		return QuotTable
 	}
 	return OpenTable

@@ -343,15 +343,15 @@ func TestCheckpointRestoreAllocation(t *testing.T) {
 // reordered or resized — must bump checkpoint.FormatVersion, after which
 // these constants are regenerated from the new failure messages.
 var imageGolden = map[string]string{
-	"Baseline-4":      "84cb1f4f32ccfa744513818dbaeef880985112d0cfc55c16fea52d04629f0c7a",
-	"BaselineDRAM-4":  "f5bf8dc53c507d4251c95f34243b55da46e68cd1f2a9b657295e1828671a11ff",
-	"Baseline-32":     "67c64ae1e53fd40804e6b960ebe38ea83b28d33bc96b604df9ea427181437446",
-	"SILO-4":          "9c30e044e7bc41612efc3c50a22a7c7145d0b5cf80aa547956eefc0dfe9ebfc1",
-	"SILO-4-L2":       "ef69d866a865272a6e58e3647e8e142c0006581721644af09db7a4a2dc735b6d",
-	"SILO-32":         "76b318e615c12be41c95f2062963a155c1ddf3de9838826dea52c4ce6d4f0953",
-	"VaultsShared-4":  "c0a6eb7c9fb7edf7a78ce8560ce13a6beb32df253b2750691e6aa3f301917dc4",
-	"SILOCO-4":        "7aa40c1adfc4d860468355b9ecc55fbcbd6ae691d8200409d11d1fb005887631",
-	"scenario-SILO-4": "5ec41d3897253f2922f35d46e1a8a4412f2f654dcec2d8b0dc1d9e5a4d43d349",
+	"Baseline-4":      "dc5a274a24065f9286f09b6dbee5ca33100f0e77a6a1a97dcf51f83a7aae73e2",
+	"BaselineDRAM-4":  "1c424b2851f98826252459205fdcdf2f2832de8b310fb1925c3618a6c2aa491c",
+	"Baseline-32":     "62b0f6f905629bdbe2cd3a40b1a18268f4ef2fc69046acf51e976e788b52df30",
+	"SILO-4":          "94da851293c036d094deadfed03d4c14170312b7ffdd59e50d692211fe028c0f",
+	"SILO-4-L2":       "9a8a2a0934f93bfdc4be55716bd93300afd70bc748bfe8be9b06f346afbc7ee9",
+	"SILO-32":         "ab3a0531235a672315c86c55939117e478f907bf0b86347e9cc66d244b6090db",
+	"VaultsShared-4":  "ce6427bfb220d3741583513ec9f20a293c79b106be2fc5bb23fb05940298b234",
+	"SILOCO-4":        "f0494f725054997bc6403916a93aa95885d4b9d362ee9d2e1757b3eb45c262fc",
+	"scenario-SILO-4": "4bd4a9373972da6eb1afb577d2a6de4997369e23663e7a037f3006ee93b72ee6",
 }
 
 // TestCheckpointImageGolden guards the byte format: every

@@ -56,7 +56,7 @@ func newPrivateHierarchy(sys *System) *privateHierarchy {
 		sys:       sys,
 		l1i:       make([]*cache.Array, cfg.Cores),
 		l1d:       make([]*cache.Array, cfg.Cores),
-		vaultTags: cache.NewGroup(cfg.Cores, scaledPow2(cfg.VaultCapacity, cfg.Scale), cfg.VaultWays, cache.LRU),
+		vaultTags: cache.NewGroup(cfg.Cores, scaledPow2(cfg.VaultCapacity, cfg.Scale), cfg.VaultWays, cache.LRU, sys.lineBits),
 		vaults:    make([]*vault.Vault, cfg.Cores),
 		moesi:     cfg.Protocol == coherence.MOESI,
 		homeDiv:   sim.NewDivisor(uint64(cfg.Cores)),
@@ -269,7 +269,7 @@ func (h *privateHierarchy) fillVaultAt(core int, line mem.LineAddr, st cache.Sta
 // remote owner or memory.
 func (h *privateHierarchy) readVaultPath(core int, line mem.LineAddr, rwShared, timing bool) sim.Cycle {
 	_ = rwShared // the RW-shared latency study applies to the baseline only
-	cfg := h.sys.cfg
+	cfg := &h.sys.cfg
 	h.st.LLCAccesses++
 	h.st.Reads++
 
@@ -333,7 +333,7 @@ func (h *privateHierarchy) readVaultPath(core int, line mem.LineAddr, rwShared, 
 // the caller; this path acquires ownership through the directory.
 func (h *privateHierarchy) writeVaultPath(core int, line mem.LineAddr, rwShared, timing bool) sim.Cycle {
 	_ = rwShared
-	cfg := h.sys.cfg
+	cfg := &h.sys.cfg
 	h.st.LLCAccesses++
 	if rwShared {
 		h.st.WritesRWShared++

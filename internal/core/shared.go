@@ -35,7 +35,7 @@ func newSharedHierarchy(sys *System) *sharedHierarchy {
 		sys:   sys,
 		l1i:   make([]*cache.Array, cfg.Cores),
 		l1d:   make([]*cache.Array, cfg.Cores),
-		snoop: coherence.NewSnoopFilter(cfg.Cores),
+		snoop: coherence.NewSnoopFilter(cfg.Cores, sys.lineBits),
 	}
 	l1 := scaledL1(cfg.L1Size, cfg.Scale)
 	for c := 0; c < cfg.Cores; c++ {
@@ -61,13 +61,13 @@ func newSharedHierarchy(sys *System) *sharedHierarchy {
 		per := scaledPow2(cfg.VaultCapacity, cfg.Scale)
 		h.vaults = make([]*vault.Vault, nbanks)
 		for b := 0; b < nbanks; b++ {
-			h.banks[b] = cache.NewBankedArray(per, 1, cache.LRU, bankBits)
+			h.banks[b] = cache.NewBankedArray(per, 1, cache.LRU, bankBits, sys.lineBits)
 			h.vaults[b] = vault.New(sys.engine, cfg.VaultTiming)
 		}
 	} else {
 		per := scaledPow2(cfg.LLCSize, cfg.Scale) / int64(nbanks)
 		for b := 0; b < nbanks; b++ {
-			h.banks[b] = cache.NewBankedArray(per, cfg.LLCWays, cache.LRU, bankBits)
+			h.banks[b] = cache.NewBankedArray(per, cfg.LLCWays, cache.LRU, bankBits, sys.lineBits)
 		}
 	}
 	if cfg.Kind == BaselineDRAM {
@@ -120,7 +120,7 @@ func (h *sharedHierarchy) llcLatency(core, bank int, line mem.LineAddr, timing b
 	if !timing {
 		return 0
 	}
-	cfg := h.sys.cfg
+	cfg := &h.sys.cfg
 	lat := h.sys.mesh.RoundTrip(core, bank) + cfg.LLCFixedOverhead + cfg.LLCExtraLatency
 	if h.vaults != nil {
 		lat += h.vaults[bank].Access(line)
@@ -170,7 +170,7 @@ func (h *sharedHierarchy) fillIFetch(core int, line mem.LineAddr, timing bool) s
 // data handles loads and stores.
 func (h *sharedHierarchy) data(core int, addr mem.Addr, write, rwShared, nonTemporal, timing bool) (sim.Cycle, bool) {
 	line := addr.Line()
-	cfg := h.sys.cfg
+	cfg := &h.sys.cfg
 
 	if w := h.l1d[core].ProbeTouch(line); w != cache.NoWay {
 		if !write {

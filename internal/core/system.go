@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -52,6 +54,11 @@ type System struct {
 	cores   []*cpu.Core
 	sources []workload.Source
 	started bool
+
+	// lineBits is the width of every line address (address /
+	// mem.LineSize) the sources can emit (lineBitsOf): it sizes the cache
+	// arrays' packed slots and picks the snoop filter's store.
+	lineBits uint
 }
 
 // NewSystem builds a system running the given per-core workloads. specs
@@ -82,6 +89,8 @@ func NewSystem(cfg Config, specs []workload.Spec) *System {
 // compiles a spec file's clients into phased streams, trace replays and
 // sharing-group bindings, then hands exactly cfg.Cores sources here.
 // NewSystem is this constructor with one synthetic Stream per core.
+// The sources' address limits fix the width of the line addresses the
+// system's caches and snoop filter hold.
 func NewSystemFromSources(cfg Config, sources []workload.Source) *System {
 	cfg.Validate()
 	if len(sources) != cfg.Cores {
@@ -94,10 +103,11 @@ func NewSystemFromSources(cfg Config, sources []workload.Source) *System {
 	mainMem := memctl.New(engine, cfg.Memory)
 
 	s := &System{
-		cfg:     cfg,
-		engine:  engine,
-		mesh:    mesh,
-		mainMem: mainMem,
+		cfg:      cfg,
+		engine:   engine,
+		mesh:     mesh,
+		mainMem:  mainMem,
+		lineBits: lineBitsOf(sources),
 	}
 	// Each hierarchy gets its concrete adapter, so the adapter's inner
 	// call is direct (devirtualized): an access pays one interface
@@ -118,6 +128,23 @@ func NewSystemFromSources(cfg Config, sources []workload.Source) *System {
 		s.cores[c] = cpu.New(engine, c, cpu.DefaultConfig(), s.sources[c], adapter)
 	}
 	return s
+}
+
+// lineBitsOf returns the width of the line addresses below the largest
+// AddrLimit of sources: 35 bits for synthetic systems of up to 16 cores,
+// 36 up to 32, and up to cache.MaxLineBits for the sharing groups of a
+// scenario. It panics on a source reaching past what a cache tag holds.
+func lineBitsOf(sources []workload.Source) uint {
+	var limit mem.Addr
+	for _, src := range sources {
+		limit = max(limit, src.AddrLimit())
+	}
+	lineBits := uint(bits.Len64(uint64(limit-1) / mem.LineSize))
+	if lineBits > cache.MaxLineBits {
+		panic(fmt.Sprintf("core: source addresses reach %#x, beyond the 2^%d bytes a cache tag holds",
+			uint64(limit-1), cache.MaxLineBits+6))
+	}
+	return lineBits
 }
 
 // Config returns the system configuration.

@@ -150,9 +150,11 @@ type Phase struct {
 }
 
 // Sharing-group address offsets: group g's whole address map shifts by
-// g·2^42. The workload address map tops out under 2^41, so shifted
-// regions never collide, and with at most MaxGroups groups every
-// address stays below the 2^46 line-address bound cache.Array enforces.
+// g·2^42. A stream's AddrLimit is at most 2^42 (TestSourceAddrLimit), so
+// shifted regions never collide, and with at most MaxGroups groups every
+// address stays below 2^46, the widest line address a cache tag holds.
+// A system sizes its cache tags and snoop-filter keys from its sources'
+// AddrLimit, so a group's offset widens them (DESIGN.md §14).
 const (
 	groupShift = 42
 	// MaxGroups bounds scenario sharing groups.
@@ -300,6 +302,19 @@ func (p *Phased) Footprint() []Region {
 		regions[i].Base += mem.Addr(p.offset)
 	}
 	return regions
+}
+
+// AddrLimit is the group offset plus the highest limit the inner stream
+// reaches in any phase: a copy of it is retuned through every phase's
+// spec, leaving the live stream as it is.
+func (p *Phased) AddrLimit() mem.Addr {
+	probe := *p.inner
+	var limit mem.Addr
+	for i := range p.phases {
+		probe.retune(p.phases[i].Spec)
+		limit = max(limit, probe.AddrLimit())
+	}
+	return mem.Addr(p.offset) + limit
 }
 
 // Checkpoint walks the phase scheduler then the inner stream. The phase

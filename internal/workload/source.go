@@ -14,6 +14,11 @@ import (
 // any internal draw sequence) is identical for any partition of the
 // same total into batches, and identical to per-op Next — so batch
 // sizes can never change what a consumer observes (DESIGN.md §8).
+//
+// AddrLimit bounds the addresses: a system sizes its cache tags and its
+// snoop filter's line keys from the largest limit of its sources
+// (core.NewSystemFromSources), so no source may emit an address at or
+// above its own (TestSourceAddrLimit).
 type Source interface {
 	// Spec describes the stream; consumers read structural parameters
 	// from it (cpu.Core takes MLP).
@@ -29,6 +34,9 @@ type Source interface {
 	// order a prewarm walk visits them (nil for sources with none to
 	// declare, e.g. trace replay). The slice is the caller's.
 	Footprint() []Region
+	// AddrLimit is an exclusive bound on every instruction and data
+	// address the source can emit, in every phase.
+	AddrLimit() mem.Addr
 	// Checkpoint walks the source's mutable state (DESIGN.md §11); a
 	// decode must fail on a checkpoint of another source shape.
 	Checkpoint(c *checkpoint.Codec)

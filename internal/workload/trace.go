@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/checkpoint"
+	"repro/internal/mem"
 )
 
 // Recorded-trace replay (DESIGN.md §14): the production-traffic mode.
@@ -227,6 +228,21 @@ func (t *TraceSource) NextBatch(dst []Op) int {
 // Footprint is nil: a trace declares no analytic footprint, so replay
 // warms organically through WarmFunctional.
 func (t *TraceSource) Footprint() []Region { return nil }
+
+// AddrLimit is one past the trace's largest instruction-line or data
+// address, plus the group offset.
+func (t *TraceSource) AddrLimit() mem.Addr {
+	var top uint64
+	for _, op := range t.ops {
+		if op.IWord != 0 {
+			top = max(top, op.IWord&^1)
+		}
+		if op.DWord != 0 {
+			top = max(top, op.DWord&opAddrMask)
+		}
+	}
+	return mem.Addr(top + 1 + t.offset)
+}
 
 // Checkpoint walks the replay position; the trace's name, length and
 // offset are shape.

@@ -172,9 +172,10 @@ func (s *Spec) Validate() {
 // the cache lines a field-per-flag struct did. IWord carries the
 // instruction side (line addresses are 64-aligned, so bit 0 is free for
 // the jump flag); DWord carries the data side (addresses stay below 2^56
-// — the workload map tops out under 2^42 — leaving the top byte for
-// flags, and a non-memory op is all-zero). The generator always writes
-// both words, so an op never carries stale state from a previous one.
+// — every source's AddrLimit lies far below it, TestSourceAddrLimit —
+// leaving the top byte for flags, and a non-memory op is all-zero). The
+// generator always writes both words, so an op never carries stale state
+// from a previous one.
 // Read through the accessor methods below.
 type Op struct {
 	// IWord is the new instruction-fetch line with bit 0 carrying the jump
@@ -637,4 +638,21 @@ func (s *Stream) Footprint() []Region {
 		regions = append(regions, Region{Base: sharedBase, Bytes: s.sharedPool})
 	}
 	return append(regions, Region{Base: secBase + mem.Addr(int64(s.core)*secStride), Bytes: s.secondary, Start: s.scanCursor})
+}
+
+// AddrLimit is the end of the stream's highest region under its current
+// spec: its own instruction, primary, middle and cold slices, the shared
+// pool, and the secondary slice of the last core, which remote accesses
+// reach. The last core's cold region ends highest of all, below 2^41 up
+// to 16 cores and below 2^42 up to 32 (TestSourceAddrLimit).
+func (s *Stream) AddrLimit() mem.Addr {
+	core, last := int64(s.core), int64(s.ncores-1)
+	return max(
+		instrBase+mem.Addr(s.instrFP),
+		primaryBase+mem.Addr(core*primaryStride+s.primary),
+		middleBase+mem.Addr(core*middleStride+s.middle),
+		sharedBase+mem.Addr(s.sharedPool),
+		secBase+mem.Addr(last*secStride+s.secondary),
+		coldBase+mem.Addr(core*coldStride+s.coldRegion),
+	)
 }
