@@ -17,6 +17,7 @@ import (
 	silo "repro"
 	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -375,32 +376,27 @@ func BenchmarkCoherenceTableQuot(b *testing.B) { benchCoherenceTable(b, coherenc
 
 // streamProbe drives the workload trace generator through the simulator's
 // canonical stream (Web Search at Scale 32, a 16-core system's core 0)
-// either op by op (Next, the serial reference) or through the batched
-// refill path (NextBatch) the cpu core consumes from, and returns the ops
-// generated. Both paths produce bit-identical op sequences
-// (workload.TestNextBatchMatchesNext); the probe quantifies the batching
-// win.
+// either one op per refill (the serial reference) or through the 16-op
+// refills the cpu core consumes, and returns the ops generated. Both
+// produce bit-identical op sequences (workload.TestNextBatchMatchesNext);
+// the probe quantifies the batching win.
 func streamProbe(batched bool) uint64 {
 	const ops = 1 << 20
-	const batch = 16 // the cpu core's refill size: the path the hot loop pays
-	st := workload.NewStream(workload.WebSearch(), 0, 16, 32, 0x5EED)
+	batch := 1
 	if batched {
-		var buf [batch]workload.Op
-		for n := 0; n < ops; n += batch {
-			st.NextBatch(buf[:])
-		}
-	} else {
-		var op workload.Op
-		for n := 0; n < ops; n++ {
-			st.Next(&op)
-		}
+		batch = 16 // the cpu core's refill size: the path the hot loop pays
+	}
+	st := workload.NewStream(workload.WebSearch(), 0, 16, 32, 0x5EED)
+	var buf [16]workload.Op
+	for n := 0; n < ops; n += batch {
+		st.NextBatch(buf[:batch])
 	}
 	return ops
 }
 
-// BenchmarkStreamProbe* time trace generation per op through the serial
-// (Next) and batched (NextBatch, what the cpu core consumes) paths on the
-// canonical stream (streamProbe).
+// BenchmarkStreamProbe* time trace generation per op through serial
+// (one-op) and batched (16-op, what the cpu core consumes) refills on
+// the canonical stream (streamProbe).
 func benchStreamProbe(b *testing.B, batched bool) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
@@ -411,6 +407,46 @@ func benchStreamProbe(b *testing.B, batched bool) {
 
 func BenchmarkStreamProbeSerial(b *testing.B)  { benchStreamProbe(b, false) }
 func BenchmarkStreamProbeBatched(b *testing.B) { benchStreamProbe(b, true) }
+
+// warmupCell is the shared warm-up benchmarks' cell: 16-core SILO on Web
+// Search at Scale 32 with Quick mode's 300k warm-up instructions per
+// core, the shape of one Fig 10 warm-up key.
+func warmupCell() (core.Config, []workload.Spec, int) {
+	cfg := core.SILOConfig(16)
+	cfg.Scale = 32
+	return cfg, []workload.Spec{workload.WebSearch()}, 300_000
+}
+
+// BenchmarkWarmupRecord times recording a warm-up (generation and
+// encoding, once per shared key of a sweep) and reports its size.
+func BenchmarkWarmupRecord(b *testing.B) {
+	cfg, specs, instr := warmupCell()
+	var tr *core.WarmTrace
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sources := core.SpecSources(cfg, specs)
+		b.StartTimer()
+		tr = core.RecordWarmup(sources, instr)
+	}
+	b.ReportMetric(float64(tr.Bytes())/float64(tr.Words()), "B/word")
+}
+
+// BenchmarkWarmupReplay times replaying a recorded warm-up into a freshly
+// built and Prewarmed system (once per cell of a shared key), the side of
+// the trade that replaces WarmFunctional.
+func BenchmarkWarmupReplay(b *testing.B) {
+	cfg, specs, instr := warmupCell()
+	tr := core.RecordWarmup(core.SpecSources(cfg, specs), instr)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys := core.NewSystem(cfg, specs)
+		sys.Prewarm()
+		b.StartTimer()
+		sys.ReplayWarmup(tr)
+	}
+	b.ReportMetric(float64(tr.Bytes())/float64(tr.Words()), "B/word")
+}
 
 // BenchmarkDirectoryOps measures the duplicate-tag directory's hot path,
 // the allocation-free calls the SILO hierarchy makes, over a group of 16
@@ -445,9 +481,9 @@ func BenchmarkDirectoryOps(b *testing.B) {
 // BenchmarkWorkloadStream measures trace-generation throughput.
 func BenchmarkWorkloadStream(b *testing.B) {
 	stream := workload.NewStream(workload.WebSearch(), 0, 16, 32, 1)
-	var op workload.Op
+	var op [1]workload.Op
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stream.Next(&op)
+		stream.NextBatch(op[:])
 	}
 }

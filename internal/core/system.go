@@ -66,22 +66,25 @@ type System struct {
 // per core.
 func NewSystem(cfg Config, specs []workload.Spec) *System {
 	cfg.Validate()
-	perCore := make([]workload.Spec, cfg.Cores)
-	switch len(specs) {
-	case 1:
-		for i := range perCore {
-			perCore[i] = specs[0]
-		}
-	case cfg.Cores:
-		copy(perCore, specs)
-	default:
+	return NewSystemFromSources(cfg, SpecSources(cfg, specs))
+}
+
+// SpecSources builds the per-core synthetic streams NewSystem runs:
+// specs holds either one spec (replicated to all cores) or exactly one
+// per core. A warm-up recording (RecordWarmup) runs on a fresh set.
+func SpecSources(cfg Config, specs []workload.Spec) []workload.Source {
+	if len(specs) != 1 && len(specs) != cfg.Cores {
 		panic(fmt.Sprintf("core: %d specs for %d cores", len(specs), cfg.Cores))
 	}
 	sources := make([]workload.Source, cfg.Cores)
-	for c := 0; c < cfg.Cores; c++ {
-		sources[c] = workload.NewStream(perCore[c], c, cfg.Cores, cfg.Scale, cfg.Seed)
+	for c := range sources {
+		spec := specs[0]
+		if len(specs) > 1 {
+			spec = specs[c]
+		}
+		sources[c] = workload.NewStream(spec, c, cfg.Cores, cfg.Scale, cfg.Seed)
 	}
-	return NewSystemFromSources(cfg, sources)
+	return sources
 }
 
 // NewSystemFromSources builds a system over pre-built per-core op
@@ -192,43 +195,21 @@ func (a *sharedCoreAdapter) Data(core int, addr mem.Addr, write, rwShared, indep
 	return lat, hit && lat == 0
 }
 
-// warmChunk is the per-core instruction granule of the functional warm-up
-// round-robin: big enough to amortize generation, small enough that
-// shared structures see realistic cross-core interleaving.
-const warmChunk = 2000
-
 // WarmFunctional streams instrPerCore instructions per core through the
 // hierarchy with no timing, in round-robin chunks, bringing caches,
 // directories and the DRAM cache to steady state (the reproduction's
-// substitute for the paper's checkpoint-based warm-up).
+// substitute for the paper's checkpoint-based warm-up). Each core-round
+// is generated into one buffer and applied by the loop a recorded
+// warm-up replays through (ReplayWarmup).
 func (s *System) WarmFunctional(instrPerCore int) {
 	if s.started {
 		panic("core: warm-up after timing start")
 	}
-	var op workload.Op
-	for done := 0; done < instrPerCore; done += warmChunk {
-		n := warmChunk
-		if instrPerCore-done < n {
-			n = instrPerCore - done
-		}
-		for c := 0; c < s.cfg.Cores; c++ {
-			st := s.sources[c]
-			for i := 0; i < n; i++ {
-				st.Next(&op)
-				s.warmOne(c, &op)
-			}
-		}
-	}
-}
-
-// warmOne replays one op through the functional access path.
-func (s *System) warmOne(c int, op *workload.Op) {
-	if line := op.NewIFetchLine(); line != 0 {
-		s.hier.ifetch(c, line, op.Jump(), false)
-	}
-	if op.IsMem() {
-		s.hier.data(c, op.Addr(), op.Write(), op.RWShared(), op.NonTemporal(), false)
-	}
+	buf := make([]workload.Op, warmChunk)
+	forRounds(instrPerCore, s.cfg.Cores, func(c, n int) {
+		s.sources[c].NextBatch(buf[:n])
+		s.warmOps(c, buf[:n])
+	})
 }
 
 // startCores transitions the system into the timed phase. Idempotent;

@@ -145,7 +145,7 @@ func (c *Core) computeCycles(instr int) sim.Cycle {
 // step executes instructions until the quantum is exhausted or the core
 // blocks on a memory access. Ops come from the pre-generated batch buffer
 // (refilled via stream.NextBatch when empty — identical op sequence to
-// per-op Next, amortized generation cost), except on resume from an
+// one-op refills, amortized generation cost), except on resume from an
 // ifetch stall, where the stashed in-flight op finishes first. The
 // per-instruction counters accumulate in locals (registers) and flush
 // once per quantum/block instead of read-modify-writing the Core fields

@@ -64,13 +64,13 @@ func Full() Mode {
 }
 
 // runOne builds, warms, and measures a single system: analytic pre-warm of
-// the cache-resident footprints, functional instruction warm-up, then the
-// timed SMARTS window. Hierarchy invariants are validated after the
-// window; a violation panics rather than folding corrupt state into the
-// reported metrics.
-func runOne(cfg core.Config, specs []workload.Spec, m Mode) core.Metrics {
-	cfg.Scale = m.Scale
-	sys, _ := buildWarm(cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil)
+// the cache-resident footprints, functional instruction warm-up (shared
+// through w when its sweep shares it), then the timed SMARTS window.
+// cfg.Scale is already m.Scale. Hierarchy invariants are validated after
+// the window; a violation panics rather than folding corrupt state into
+// the reported metrics.
+func runOne(cfg core.Config, specs []workload.Spec, m Mode, w *cellWarm) core.Metrics {
+	sys, _ := buildWarm(cfg, specs, m.WarmInstr, m.CheckpointDir, m.Checkpoints, nil, w)
 	met := sys.Run(m.WarmCycles, m.MeasureCycles)
 	if msg := sys.CheckInvariants(); msg != "" {
 		panic("invariant violation: " + msg)

@@ -171,6 +171,14 @@ type gridCell struct {
 	confidence     float64
 }
 
+// warmKey is the cell's warm-up key under m (warmKey).
+func (c gridCell) warmKey(m Mode) string {
+	if c.scen != nil {
+		return warmKey(c.cfg, nil, c.scen, m.WarmInstr)
+	}
+	return warmKey(c.cfg, []workload.Spec{c.spec}, nil, m.WarmInstr)
+}
+
 // enumerate builds the cell list: system-major, then workload, then
 // override. Mode.Scale is applied before the override so an override can
 // re-target the scale (the paper-scale sweeps that motivate the grid).
@@ -235,7 +243,7 @@ func (p *phaseTracker) get() string {
 // accumulator — no per-window history is retained. inj (nil-safe)
 // injects deterministic faults for the robustness harness; ph (nil-safe)
 // exposes the current phase to a watchdog.
-func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector, attempt int, ph *phaseTracker) GridCellResult {
+func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector, attempt int, ph *phaseTracker, w *cellWarm) GridCellResult {
 	start := time.Now()
 	window := m.MeasureCycles / sim.Cycle(c.windows) // positive: RunGrid checked the budget
 	// Injected faults land before the build phase: the injection site for
@@ -245,9 +253,9 @@ func simulateCell(ctx context.Context, c gridCell, m Mode, inj *robust.Injector,
 
 	var sys *core.System
 	if c.scen != nil {
-		sys, _ = buildWarmScenario(c.cfg, c.scen, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
+		sys, _ = buildWarmScenario(c.cfg, c.scen, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph, w)
 	} else {
-		sys, _ = buildWarm(c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph)
+		sys, _ = buildWarm(c.cfg, []workload.Spec{c.spec}, m.WarmInstr, m.CheckpointDir, m.Checkpoints, ph, w)
 	}
 	ph.set("measure")
 	ws := sys.StreamWindows(m.WarmCycles, window)
@@ -320,13 +328,7 @@ func streamOrdered[T any](ctx context.Context, n, parallelism int, fn func(i int
 	if n == 0 {
 		return
 	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := poolWorkers(n, parallelism)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
@@ -443,4 +445,13 @@ func streamOrdered[T any](ctx context.Context, n, parallelism int, fn func(i int
 	if firstPanic != nil {
 		panic(firstPanic) // already labeled by fn
 	}
+}
+
+// poolWorkers is the worker count of streamOrdered's pool for n indices
+// at the given parallelism: GOMAXPROCS when it is <= 0, at most n.
+func poolWorkers(n, parallelism int) int {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	return min(parallelism, n)
 }

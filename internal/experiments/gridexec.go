@@ -115,6 +115,15 @@ func RunGrid(ctx context.Context, g GridSpec, m Mode, opts GridOptions, indices 
 	if opts.Journal != nil && opts.Resume {
 		ex.resume = opts.Journal.Entries()
 	}
+	// The sweep's warm-up table covers the cells that will simulate:
+	// a resumed cell never warms.
+	keys := make([]string, len(indices))
+	for i, idx := range indices {
+		if _, ok := ex.resumed(ex.key(cells[idx])); !ok {
+			keys[i] = cells[idx].warmKey(m)
+		}
+	}
+	tab := newWarmTable(keys, poolWorkers(len(indices), m.Parallelism))
 	defer func() {
 		// FailFast cell failures propagate as labeled panics from the
 		// pool; surface them as errors — this path is CLI-reachable.
@@ -123,7 +132,7 @@ func RunGrid(ctx context.Context, g GridSpec, m Mode, opts GridOptions, indices 
 		}
 	}()
 	streamOrdered(ctx, len(indices), m.Parallelism,
-		func(i int) GridCellResult { return ex.run(ctx, cells[indices[i]]) },
+		func(i int) GridCellResult { return ex.run(ctx, cells[indices[i]], tab.cell(i, keys[i])) },
 		func(_ int, r GridCellResult) bool {
 			if r.Error != nil && r.Error.Kind == cellCanceled {
 				return false // shutdown mid-cell: never emit the sentinel
@@ -212,17 +221,28 @@ func (e *cellExecutor) setJournalErr(err error) {
 	}
 }
 
+// resumed returns the journaled record under key when the sweep resumes
+// and the record decodes as a success. A record that fails to decode,
+// or recorded a failure, is re-simulated rather than trusted.
+func (e *cellExecutor) resumed(key string) (GridCellResult, bool) {
+	raw, ok := e.resume[key]
+	if !ok {
+		return GridCellResult{}, false
+	}
+	var r GridCellResult
+	if err := json.Unmarshal(raw, &r); err != nil || r.Error != nil {
+		return GridCellResult{}, false
+	}
+	return r, true
+}
+
 // run executes one cell: resume from the journal when possible,
-// otherwise attempt with retries and record the outcome.
-func (e *cellExecutor) run(ctx context.Context, c gridCell) GridCellResult {
+// otherwise attempt with retries and record the outcome. w is the cell's
+// view of the sweep's warm-up table.
+func (e *cellExecutor) run(ctx context.Context, c gridCell, w *cellWarm) GridCellResult {
 	key := e.key(c)
-	if raw, ok := e.resume[key]; ok {
-		var r GridCellResult
-		// A record that fails to decode, or recorded a failure, is
-		// re-simulated rather than trusted.
-		if err := json.Unmarshal(raw, &r); err == nil && r.Error == nil {
-			return r
-		}
+	if r, ok := e.resumed(key); ok {
+		return r
 	}
 
 	var last *CellError
@@ -232,7 +252,7 @@ func (e *cellExecutor) run(ctx context.Context, c gridCell) GridCellResult {
 				return canceledResult(c)
 			}
 		}
-		rec, cerr := e.attempt(ctx, c, attempt)
+		rec, cerr := e.attempt(ctx, c, attempt, w)
 		if cerr == nil {
 			if e.opts.Journal != nil {
 				if err := e.opts.Journal.Append(key, rec); err != nil {
@@ -263,11 +283,11 @@ func (e *cellExecutor) run(ctx context.Context, c gridCell) GridCellResult {
 
 // attempt runs one try of the cell, under the watchdog when a deadline
 // is configured.
-func (e *cellExecutor) attempt(ctx context.Context, c gridCell, attempt int) (GridCellResult, *CellError) {
+func (e *cellExecutor) attempt(ctx context.Context, c gridCell, attempt int, w *cellWarm) (GridCellResult, *CellError) {
 	ph := &phaseTracker{}
 	d := e.opts.CellDeadline
 	if d <= 0 {
-		return e.simulate(ctx, c, attempt, ph)
+		return e.simulate(ctx, c, attempt, ph, w)
 	}
 
 	actx, cancel := context.WithTimeout(ctx, d)
@@ -280,7 +300,7 @@ func (e *cellExecutor) attempt(ctx context.Context, c gridCell, attempt int) (Gr
 	// watchdog never strands a goroutine on a send.
 	ch := make(chan outcome, 1)
 	go func() {
-		rec, cerr := e.simulate(actx, c, attempt, ph)
+		rec, cerr := e.simulate(actx, c, attempt, ph, w)
 		ch <- outcome{rec, cerr}
 	}()
 	select {
@@ -314,7 +334,7 @@ func (e *cellExecutor) timeoutError(ph *phaseTracker) *CellError {
 // simulate runs simulateCell with panic isolation: a panic becomes a
 // structured *CellError (identity, phase, stack digest) instead of
 // killing the sweep.
-func (e *cellExecutor) simulate(ctx context.Context, c gridCell, attempt int, ph *phaseTracker) (rec GridCellResult, cerr *CellError) {
+func (e *cellExecutor) simulate(ctx context.Context, c gridCell, attempt int, ph *phaseTracker, w *cellWarm) (rec GridCellResult, cerr *CellError) {
 	defer func() {
 		if p := recover(); p != nil {
 			if err, ok := p.(error); ok && err == robust.ErrStallInterrupted {
@@ -332,7 +352,7 @@ func (e *cellExecutor) simulate(ctx context.Context, c gridCell, attempt int, ph
 	if ctx.Err() != nil {
 		return GridCellResult{}, &CellError{Kind: cellCanceled}
 	}
-	return simulateCell(ctx, c, e.m, e.opts.Injector, attempt, ph), nil
+	return simulateCell(ctx, c, e.m, e.opts.Injector, attempt, ph, w), nil
 }
 
 func canceledResult(c gridCell) GridCellResult {

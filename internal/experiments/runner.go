@@ -35,9 +35,19 @@ func cell(label string, cfg core.Config, spec workload.Spec) Cell {
 // claimed. A panic inside any cell is re-raised on the calling
 // goroutine, prefixed with the cell's label.
 func RunCells(cells []Cell, m Mode) []core.Metrics {
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = warmKey(c.config(m), c.Specs, nil, m.WarmInstr)
+	}
+	return runCells(cells, m, newWarmTable(keys, poolWorkers(len(cells), m.Parallelism)), keys)
+}
+
+// runCells is RunCells over a given warm-up table, whose cell i has
+// warm-up key keys[i].
+func runCells(cells []Cell, m Mode, tab *warmTable, keys []string) []core.Metrics {
 	out := make([]core.Metrics, len(cells))
 	streamOrdered(context.Background(), len(cells), m.Parallelism,
-		func(i int) core.Metrics { return runCell(cells[i], m) },
+		func(i int) core.Metrics { return runCell(cells[i], m, tab.cell(i, keys[i])) },
 		func(i int, met core.Metrics) bool {
 			out[i] = met
 			return true
@@ -45,15 +55,22 @@ func RunCells(cells []Cell, m Mode) []core.Metrics {
 	return out
 }
 
+// config is the cell's configuration at m's scale.
+func (c Cell) config(m Mode) core.Config {
+	cfg := c.Config
+	cfg.Scale = m.Scale
+	return cfg
+}
+
 // runCell builds, warms, and measures one cell, like runOne but with the
 // cell's label attached to any panic.
-func runCell(c Cell, m Mode) core.Metrics {
+func runCell(c Cell, m Mode, w *cellWarm) core.Metrics {
 	defer func() {
 		if r := recover(); r != nil {
 			panic(fmt.Sprintf("experiments: cell %q: %v", c.Label, r))
 		}
 	}()
-	return runOne(c.Config, c.Specs, m)
+	return runOne(c.config(m), c.Specs, m, w)
 }
 
 // RunCellIPCs runs the cells and reduces each to its aggregate IPC — the

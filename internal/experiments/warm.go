@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Shared build→Prewarm→WarmFunctional harness (previously copy-pasted
+// Shared build→Prewarm→warm-up harness (previously copy-pasted
 // between runOne and simulateCell) with transparent warm-state
 // checkpointing hung on it (DESIGN.md §11): when a
 // checkpoint directory is configured, buildWarm restores a warmed
@@ -129,28 +129,28 @@ func buildScenarioMeta(cfg core.Config, scen *scenario.Scenario, warmInstr int) 
 var ckptPathLocks sync.Map
 
 // buildWarm builds a system and brings it to the post-warm-up state:
-// restore from ckptDir on key hit, otherwise NewSystem + Prewarm +
-// WarmFunctional (and a best-effort checkpoint save when ckptDir is
-// set); the bool reports whether the warm state was restored. cs and ph
-// are optional (nil-safe). Every checkpoint failure mode — missing file,
-// torn file, flipped byte, stale version, foreign key, geometry mismatch
-// — falls back to the from-scratch path.
-func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, bool) {
-	return buildWarmKeyed(
+// restore from ckptDir on key hit, otherwise NewSystem + Prewarm + the
+// functional warm-up (shared through w, the cell's view of its sweep's
+// warmTable, or inline when w is nil), and a best-effort checkpoint save
+// when ckptDir is set; the bool reports whether the warm state was
+// restored. cs and ph are optional (nil-safe). Every checkpoint failure
+// mode — missing file, torn file, flipped byte, stale version, foreign
+// key, geometry mismatch — falls back to the from-scratch path.
+func buildWarm(cfg core.Config, specs []workload.Spec, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker, w *cellWarm) (*core.System, bool) {
+	return buildWarmKeyed(cfg,
+		func() []workload.Source { return core.SpecSources(cfg, specs) },
 		func() string { return CheckpointKey(cfg, specs, warmInstr) },
 		func() string { return buildMeta(cfg, specs, warmInstr) },
-		func() *core.System { return core.NewSystem(cfg, specs) },
-		func(r *checkpoint.Reader) (*core.System, error) { return core.NewSystemFromCheckpoint(cfg, specs, r) },
-		warmInstr, ckptDir, cs, ph)
+		warmInstr, ckptDir, cs, ph, w)
 }
 
 // buildWarmScenario is buildWarm for a scenario-driven cell: the specs
 // come compiled as per-core sources. Sources compilation is a pure
-// function of (scenario, cores, scale, seed), so the restore path and
-// the cold path each compile a fresh source set — a restore that fails
-// partway must not leak half-restored source state into the fallback
-// cold build.
-func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, bool) {
+// function of (scenario, cores, scale, seed), so every build, restore
+// and warm-up recording compiles a fresh source set — a restore that
+// fails partway must not leak half-restored source state into the
+// fallback cold build.
+func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker, w *cellWarm) (*core.System, bool) {
 	compile := func() []workload.Source {
 		srcs, err := scen.Sources(cfg.Cores, cfg.Scale, cfg.Seed)
 		if err != nil {
@@ -161,23 +161,19 @@ func buildWarmScenario(cfg core.Config, scen *scenario.Scenario, warmInstr int, 
 		}
 		return srcs
 	}
-	return buildWarmKeyed(
+	return buildWarmKeyed(cfg, compile,
 		func() string { return ScenarioCheckpointKey(cfg, scen, warmInstr) },
 		func() string { return buildScenarioMeta(cfg, scen, warmInstr) },
-		func() *core.System { return core.NewSystemFromSources(cfg, compile()) },
-		func(r *checkpoint.Reader) (*core.System, error) {
-			return core.NewSystemFromCheckpointSources(cfg, compile(), r)
-		},
-		warmInstr, ckptDir, cs, ph)
+		warmInstr, ckptDir, cs, ph, w)
 }
 
 // buildWarmKeyed is the shared warm-or-restore engine behind buildWarm
-// and buildWarmScenario: key and meta derivation, cold construction and
-// checkpoint restore are injected; the locking, fallback and
+// and buildWarmScenario: fresh source construction and key and meta
+// derivation are injected; the locking, fallback, warm-up sharing and
 // best-effort-save policy live here once.
-func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.System,
-	restore func(*checkpoint.Reader) (*core.System, error),
-	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker) (*core.System, bool) {
+func buildWarmKeyed(cfg core.Config, sources func() []workload.Source, deriveKey, deriveMeta func() string,
+	warmInstr int, ckptDir string, cs *CheckpointStats, ph *phaseTracker, w *cellWarm) (*core.System, bool) {
+	defer w.release()
 	var key, path string
 	if ckptDir != "" {
 		key = deriveKey()
@@ -201,7 +197,7 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 			unlock = func() {}
 		}
 		if r, err := checkpoint.Open(path, key); err == nil {
-			sys, rerr := restore(r)
+			sys, rerr := core.NewSystemFromCheckpointSources(cfg, sources(), r)
 			r.Close()
 			if rerr == nil {
 				unlock()
@@ -217,12 +213,14 @@ func buildWarmKeyed(deriveKey, deriveMeta func() string, build func() *core.Syst
 		}
 	}
 
+	ph.set("warm")
+	shared := w.begin(sources, warmInstr)
 	ph.set("build")
-	sys := build()
+	sys := core.NewSystemFromSources(cfg, sources())
 	ph.set("prewarm")
 	sys.Prewarm()
 	ph.set("warm")
-	sys.WarmFunctional(warmInstr)
+	w.warm(shared, sys, warmInstr)
 
 	if ckptDir != "" {
 		// Best-effort save: a full disk or unwritable dir must not fail

@@ -27,7 +27,7 @@ func TestBuildWarmMissThenHit(t *testing.T) {
 	specs := []workload.Spec{workload.WebSearch()}
 	var cs CheckpointStats
 
-	cold, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+	cold, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil, nil)
 	if restored {
 		t.Fatal("first build reported a checkpoint hit")
 	}
@@ -42,7 +42,7 @@ func TestBuildWarmMissThenHit(t *testing.T) {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
 
-	warm, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+	warm, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil, nil)
 	if !restored {
 		t.Fatal("second build did not restore")
 	}
@@ -68,7 +68,7 @@ func counters(cs *CheckpointStats) [4]uint64 {
 func TestBuildWarmCorruptionFallback(t *testing.T) {
 	cfg := warmTestConfig()
 	specs := []workload.Spec{workload.DataServing()}
-	refSys, _ := buildWarm(cfg, specs, warmTestInstr, "", nil, nil)
+	refSys, _ := buildWarm(cfg, specs, warmTestInstr, "", nil, nil, nil)
 	want := refSys.Run(2_000, 8_000)
 
 	corrupt := map[string]func([]byte) []byte{
@@ -83,7 +83,7 @@ func TestBuildWarmCorruptionFallback(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			var cs CheckpointStats
-			buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil) // seed a valid checkpoint
+			buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil, nil) // seed a valid checkpoint
 			path := CheckpointPath(dir, CheckpointKey(cfg, specs, warmTestInstr))
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -93,7 +93,7 @@ func TestBuildWarmCorruptionFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sys, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+			sys, restored := buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil, nil)
 			if restored {
 				t.Fatal("corrupt checkpoint reported as hit")
 			}
@@ -104,7 +104,7 @@ func TestBuildWarmCorruptionFallback(t *testing.T) {
 				t.Fatalf("fallback counters: %+v", counters(&cs))
 			}
 			// The rebuild re-saved over the corrupt file; the next build hits.
-			_, restored = buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+			_, restored = buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil, nil)
 			if !restored {
 				t.Fatal("re-saved checkpoint not restored")
 			}
@@ -165,16 +165,16 @@ func TestBuildWarmSharesAcrossTimingCells(t *testing.T) {
 	var cs CheckpointStats
 
 	cfg := warmTestConfig()
-	buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil)
+	buildWarm(cfg, specs, warmTestInstr, dir, &cs, nil, nil)
 
 	swept := cfg
 	swept.LLCExtraLatency += 14 // a Fig 2-style latency point
-	sys, restored := buildWarm(swept, specs, warmTestInstr, dir, &cs, nil)
+	sys, restored := buildWarm(swept, specs, warmTestInstr, dir, &cs, nil, nil)
 	if !restored {
 		t.Fatal("timing-swept cell did not share the checkpoint")
 	}
 	// The restored system must behave as a cold build of the swept config.
-	coldSys, _ := buildWarm(swept, specs, warmTestInstr, "", nil, nil)
+	coldSys, _ := buildWarm(swept, specs, warmTestInstr, "", nil, nil, nil)
 	want, got := coldSys.Run(2_000, 8_000), sys.Run(2_000, 8_000)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("shared-checkpoint run diverges:\nwant: %+v\ngot:  %+v", want, got)

@@ -43,7 +43,7 @@ func FuzzParse(f *testing.F) {
 		if srcs, err := s.Sources(8, 16, 3); err == nil {
 			var op workload.Op
 			for _, src := range srcs {
-				src.Next(&op)
+				nextOp(src, &op)
 			}
 		}
 	})

@@ -11,6 +11,13 @@ import (
 	"repro/internal/workload"
 )
 
+// nextOp takes one op from src through a one-op NextBatch.
+func nextOp(src workload.Source, op *workload.Op) {
+	var buf [1]workload.Op
+	src.NextBatch(buf[:])
+	*op = buf[0]
+}
+
 // testResolver looks up the compiled-in presets — the same catalog the
 // experiments package passes in production (re-built here to avoid an
 // import cycle with experiments' scenario support).
@@ -195,8 +202,8 @@ clients:
 	var got, want workload.Op
 	for c := range srcs {
 		for i := 0; i < 3000; i++ {
-			srcs[c].Next(&got)
-			expect[c].Next(&want)
+			nextOp(srcs[c], &got)
+			nextOp(expect[c], &want)
 			if got != want {
 				t.Fatalf("core %d op %d: %+v, direct construction %+v", c, i, got, want)
 			}
@@ -250,7 +257,7 @@ func TestTraceClientStagger(t *testing.T) {
 	off := workload.GroupOffset(2)
 	for c, src := range srcs {
 		var got workload.Op
-		src.Next(&got)
+		nextOp(src, &got)
 		want := cl.Trace.Ops[1000*c/4]
 		if want.IWord != 0 {
 			want.IWord += off

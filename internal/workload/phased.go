@@ -255,23 +255,6 @@ func (p *Phased) Spec() Spec { return p.phases[0].Spec }
 // Generated reports ops produced so far.
 func (p *Phased) Generated() uint64 { return p.inner.Generated() }
 
-// Next produces one op.
-func (p *Phased) Next(op *Op) {
-	if p.remaining == 0 {
-		p.advance()
-	}
-	p.inner.Next(op)
-	if p.offset != 0 {
-		if op.IWord != 0 {
-			op.IWord += p.offset
-		}
-		if op.DWord != 0 {
-			op.DWord += p.offset
-		}
-	}
-	p.remaining--
-}
-
 // NextBatch fills dst, splitting the refill at phase boundaries. Chunk
 // sizes depend only on the op counts at which boundaries fall, never on
 // how the caller batches — the split-invariance NextBatch inherits from

@@ -70,16 +70,16 @@ func TestRetunePreservesWalkState(t *testing.T) {
 	b := NewStream(WebSearch(), 0, 4, 16, 7)
 	var opA, opB Op
 	for i := 0; i < 5000; i++ {
-		a.Next(&opA)
-		b.Next(&opB)
+		nextOp(a, &opA)
+		nextOp(b, &opB)
 		if opA != opB {
 			t.Fatalf("op %d diverged before retune", i)
 		}
 	}
 	b.Retune(WebSearch()) // same spec: a no-op for the sequence
 	for i := 0; i < 5000; i++ {
-		a.Next(&opA)
-		b.Next(&opB)
+		nextOp(a, &opA)
+		nextOp(b, &opB)
 		if opA != opB {
 			t.Fatalf("op %d diverged after same-spec retune", i)
 		}
@@ -90,7 +90,7 @@ func TestRetunePreservesWalkState(t *testing.T) {
 	small.SecondaryWSS /= 64
 	b.Retune(small)
 	for i := 0; i < 5000; i++ {
-		b.Next(&opB)
+		nextOp(b, &opB)
 	}
 	if b.scanCursor >= b.secondary {
 		t.Fatalf("scan cursor %d outside shrunk secondary %d", b.scanCursor, b.secondary)
@@ -113,14 +113,14 @@ func testPhases() []Phase {
 
 // TestPhasedSplitInvariance is the scenario extension of the NextBatch
 // determinism contract: the phased op sequence must be identical per-op
-// (Next), at any batch size, and across mixed batch sizes — phase
+// (one-op refills), at any batch size, and across mixed batch sizes — phase
 // boundaries land at op counts, so refill shape cannot move them.
 func TestPhasedSplitInvariance(t *testing.T) {
 	const total = 40000
 	ref := NewPhased(testPhases(), 1, 4, 16, 42, 9, GroupOffset(3))
 	want := make([]Op, total)
 	for i := range want {
-		ref.Next(&want[i])
+		nextOp(ref, &want[i])
 	}
 	for _, batch := range []int{1, 7, 16, 64, 1000} {
 		p := NewPhased(testPhases(), 1, 4, 16, 42, 9, GroupOffset(3))
@@ -141,7 +141,7 @@ func TestPhasedSplitInvariance(t *testing.T) {
 	p := NewPhased(testPhases(), 1, 4, 16, 42, 9, GroupOffset(3))
 	var op Op
 	for i := 0; i < 200000 && p.idx == 0; i++ {
-		p.Next(&op)
+		nextOp(p, &op)
 	}
 	if p.idx != 1 {
 		t.Fatal("phase schedule never advanced")
@@ -157,8 +157,8 @@ func TestPhasedGroupOffsetIsolation(t *testing.T) {
 	delta := GroupOffset(5)
 	var a, b Op
 	for i := 0; i < 20000; i++ {
-		p0.Next(&a)
-		p5.Next(&b)
+		nextOp(p0, &a)
+		nextOp(p5, &b)
 		if (a.IWord == 0) != (b.IWord == 0) || (a.DWord == 0) != (b.DWord == 0) {
 			t.Fatalf("op %d: zero-word structure diverged", i)
 		}
@@ -188,7 +188,7 @@ func TestPhasedSnapshotRoundTrip(t *testing.T) {
 	p := NewPhased(testPhases(), 2, 4, 16, 11, 3, GroupOffset(1))
 	var op Op
 	for i := 0; i < 12345; i++ {
-		p.Next(&op)
+		nextOp(p, &op)
 	}
 	var buf bytes.Buffer
 	w := checkpoint.NewWriter(&buf)
@@ -207,8 +207,8 @@ func TestPhasedSnapshotRoundTrip(t *testing.T) {
 	}
 	var a, b Op
 	for i := 0; i < 30000; i++ {
-		p.Next(&a)
-		q.Next(&b)
+		nextOp(p, &a)
+		nextOp(q, &b)
 		if a != b {
 			t.Fatalf("op %d diverged after restore", i)
 		}

@@ -12,8 +12,8 @@ import (
 // generator. The batched-refill determinism contract carries over
 // unchanged: NextBatch must be split-invariant — the op sequence (and
 // any internal draw sequence) is identical for any partition of the
-// same total into batches, and identical to per-op Next — so batch
-// sizes can never change what a consumer observes (DESIGN.md §8).
+// same total into batches, one op at a time included — so batch sizes
+// can never change what a consumer observes (DESIGN.md §8).
 //
 // AddrLimit bounds the addresses: a system sizes its cache tags and its
 // snoop filter's line keys from the largest limit of its sources
@@ -23,12 +23,10 @@ type Source interface {
 	// Spec describes the stream; consumers read structural parameters
 	// from it (cpu.Core takes MLP).
 	Spec() Spec
-	// Next fills op with the next instruction; both packed words are
-	// written on every call.
-	Next(op *Op)
-	// NextBatch fills dst and returns len(dst) (sources never end).
+	// NextBatch fills dst with the next len(dst) ops, writing both
+	// packed words of each, and returns len(dst) (sources never end).
 	NextBatch(dst []Op) int
-	// Generated reports ops produced so far (Next + NextBatch).
+	// Generated reports ops produced so far.
 	Generated() uint64
 	// Footprint declares the source's cache-resident footprints, in the
 	// order a prewarm walk visits them (nil for sources with none to

@@ -192,22 +192,6 @@ func (t *TraceSource) Spec() Spec { return t.spec }
 // Generated reports ops produced so far.
 func (t *TraceSource) Generated() uint64 { return t.generated }
 
-// Next produces one op.
-func (t *TraceSource) Next(op *Op) {
-	*op = t.ops[t.cursor]
-	if op.IWord != 0 {
-		op.IWord += t.offset
-	}
-	if op.DWord != 0 {
-		op.DWord += t.offset
-	}
-	t.cursor++
-	if t.cursor == len(t.ops) {
-		t.cursor = 0
-	}
-	t.generated++
-}
-
 // NextBatch fills dst from the trace, wrapping at the end. The sequence
 // is a pure function of the cursor, so it is trivially split-invariant.
 func (t *TraceSource) NextBatch(dst []Op) int {

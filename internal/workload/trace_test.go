@@ -112,7 +112,7 @@ func TestTraceSourceReplay(t *testing.T) {
 	ref := NewTraceSource("w", 2, ops, off, 0)
 	want := make([]Op, 350) // wraps 3.5 times
 	for i := range want {
-		ref.Next(&want[i])
+		nextOp(ref, &want[i])
 	}
 	for i := range want {
 		raw := ops[i%100]

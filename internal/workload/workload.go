@@ -281,7 +281,7 @@ type Stream struct {
 	jumped     bool // the last line transition was a taken branch
 	scanCursor int64
 	coldCursor int64
-	generated  uint64 // ops produced by Next
+	generated  uint64 // ops produced by NextBatch
 }
 
 // NewStream builds the deterministic stream for one core. scale divides
@@ -399,33 +399,26 @@ func (st *Stream) Retune(spec Spec) {
 // Spec returns the stream's workload spec.
 func (s *Stream) Spec() Spec { return s.spec }
 
-// Generated reports how many ops the stream has produced — handed out by
-// Next or filled into a NextBatch buffer. A batching consumer (cpu.Core)
-// may hold up to one batch of generated-but-not-yet-executed ops, so
-// Generated can run ahead of execution by at most the batch size; tests
-// cross-check the core's Consumed counter (every op taken from the batch
-// retires) rather than this count.
+// Generated reports how many ops the stream has produced into NextBatch
+// buffers. A batching consumer (cpu.Core) may hold up to one batch of
+// generated-but-not-yet-executed ops, so Generated can run ahead of
+// execution by at most the batch size; tests cross-check the core's
+// Consumed counter (every op taken from the batch retires) rather than
+// this count.
 func (s *Stream) Generated() uint64 { return s.generated }
 
-// Next fills op with the next instruction. op is reused by callers to
-// avoid allocation in the simulation hot loop; both packed words are
-// written on every call, so no stale state survives reuse.
-func (s *Stream) Next(op *Op) {
-	s.generated++
-	s.rng.SetState(s.gen(op, s.rng.State()))
-}
-
 // NextBatch fills dst with the next len(dst) ops of the stream and returns
-// how many it produced (always len(dst); the stream never ends). It is the
-// batched form of Next: the ops and the RNG draw sequence are identical by
-// construction — gen is the single generator both paths call, in the same
-// order, so a refill boundary can never reorder or drop a draw (the
-// determinism contract, DESIGN.md §8; TestNextBatchMatchesNext proves the
-// equivalence directly). Batching exists for the consumer's sake: the RNG
-// state crosses memory once per refill instead of once per op (see gen's
-// state threading), and the generator's threshold state stays hot instead
-// of interleaving every op with memory-system work. dst is reused across
-// refills and the path allocates nothing.
+// how many it produced (always len(dst); the stream never ends). Both
+// packed words of every op are written, so no stale state survives a
+// reused buffer. gen is the single generator, called once per op in
+// order, so the ops and the RNG draw sequence are the same for any split
+// of a run into batches, one op at a time included (the determinism
+// contract, DESIGN.md §8; TestNextBatchMatchesNext proves it directly).
+// Batching exists for the consumer's sake: the RNG state crosses memory
+// once per refill instead of once per op (see gen's state threading),
+// and the generator's threshold state stays hot instead of interleaving
+// every op with memory-system work. dst is reused across refills and the
+// path allocates nothing.
 func (s *Stream) NextBatch(dst []Op) int {
 	x := s.rng.State()
 	for i := range dst {
@@ -446,9 +439,9 @@ const (
 	hotInstrFrac = 0.08
 )
 
-// gen produces one op (see Next for the field-reset contract), threading
-// the RNG state x through every draw in register instead of bouncing it
-// off the Stream per draw: each `x = sim.StateStep(x)` + StateRaw53 /
+// gen produces one op, writing both of its words. It threads the RNG
+// state x through every draw in register instead of bouncing it off the
+// Stream per draw: each `x = sim.StateStep(x)` + StateRaw53 /
 // StateUint64 pair reproduces exactly one historical rng.Raw53() /
 // rng.Uint64Mod() call, in the same order, so the draw sequence — and
 // therefore every generated op — is bit-identical to the pre-threading

@@ -77,13 +77,21 @@ func TestUnknownSpecPanics(t *testing.T) {
 	Spec2006("h264ref")
 }
 
+// nextOp takes one op from src through a one-op NextBatch: the serial
+// reference the batched paths are checked against.
+func nextOp(src Source, op *Op) {
+	var buf [1]Op
+	src.NextBatch(buf[:])
+	*op = buf[0]
+}
+
 func TestStreamDeterminism(t *testing.T) {
 	a := NewStream(WebSearch(), 3, 16, 16, 42)
 	b := NewStream(WebSearch(), 3, 16, 16, 42)
 	var oa, ob Op
 	for i := 0; i < 10000; i++ {
-		a.Next(&oa)
-		b.Next(&ob)
+		nextOp(a, &oa)
+		nextOp(b, &ob)
 		if oa != ob {
 			t.Fatalf("streams diverged at op %d: %+v vs %+v", i, oa, ob)
 		}
@@ -96,8 +104,8 @@ func TestStreamsDifferAcrossCores(t *testing.T) {
 	var oa, ob Op
 	same := 0
 	for i := 0; i < 1000; i++ {
-		a.Next(&oa)
-		b.Next(&ob)
+		nextOp(a, &oa)
+		nextOp(b, &ob)
 		if oa.IsMem() && ob.IsMem() && oa.Addr() == ob.Addr() {
 			same++
 		}
@@ -113,7 +121,7 @@ func TestMemRatioHolds(t *testing.T) {
 	memOps := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		s.Next(&op)
+		nextOp(s, &op)
 		if op.IsMem() {
 			memOps++
 		}
@@ -131,7 +139,7 @@ func TestRegionDisjointness(t *testing.T) {
 		s := NewStream(spec, 2, 16, 16, 7)
 		var op Op
 		for i := 0; i < 50000; i++ {
-			s.Next(&op)
+			nextOp(s, &op)
 			if op.NewIFetchLine() != 0 {
 				a := mem.Addr(op.NewIFetchLine())
 				if a < instrBase || a >= primaryBase {
@@ -179,7 +187,7 @@ func TestScaleShrinksFootprints(t *testing.T) {
 	var op Op
 	maxPrimary := mem.Addr(0)
 	for i := 0; i < 100000; i++ {
-		s16.Next(&op)
+		nextOp(s16, &op)
 		if op.IsMem() && op.Addr() >= primaryBase && op.Addr() < sharedBase {
 			if off := op.Addr() - primaryBase; off > maxPrimary {
 				maxPrimary = off
@@ -197,7 +205,7 @@ func TestRWSharedFractionApproximatesSpec(t *testing.T) {
 	var op Op
 	shared, data := 0, 0
 	for i := 0; i < 400000; i++ {
-		s.Next(&op)
+		nextOp(s, &op)
 		if op.IsMem() {
 			data++
 			if op.RWShared() {
@@ -217,7 +225,7 @@ func TestIFetchSequentialAndJumps(t *testing.T) {
 	newLines, jumps := 0, 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		s.Next(&op)
+		nextOp(s, &op)
 		if op.NewIFetchLine() != 0 {
 			newLines++
 			if op.Jump() {
@@ -249,7 +257,7 @@ func TestScanCoversSecondary(t *testing.T) {
 	var op Op
 	seen := map[mem.LineAddr]bool{}
 	for i := 0; i < 400000; i++ {
-		s.Next(&op)
+		nextOp(s, &op)
 		if op.IsMem() && op.Addr() >= secBase && op.Addr() < coldBase {
 			seen[op.Addr().Line()] = true
 		}
@@ -308,9 +316,10 @@ func TestClassString(t *testing.T) {
 }
 
 // TestNextBatchMatchesNext is the batched-stream determinism contract
-// (DESIGN.md §8): NextBatch must produce exactly the op sequence Next
-// produces — field for field — regardless of where refill boundaries
-// fall, and account the same Generated count at batch boundaries.
+// (DESIGN.md §8): NextBatch must produce exactly the op sequence that
+// one-op refills (the serial reference, once the per-op Next) produce —
+// field for field — regardless of where refill boundaries fall, and
+// account the same Generated count at batch boundaries.
 func TestNextBatchMatchesNext(t *testing.T) {
 	serial := NewStream(WebSearch(), 2, 16, 32, 77)
 	batched := NewStream(WebSearch(), 2, 16, 32, 77)
@@ -328,7 +337,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			t.Fatalf("NextBatch(%d) = %d", n, got)
 		}
 		for i := 0; i < n; i++ {
-			serial.Next(&ref)
+			nextOp(serial, &ref)
 			if buf[i] != ref {
 				t.Fatalf("op %d (batch size %d, offset %d): batched %+v, serial %+v",
 					total+i, n, i, buf[i], ref)
@@ -358,17 +367,17 @@ func TestNextBatchAllocFree(t *testing.T) {
 // TestStreamGolden pins the generated op stream itself: an FNV-1a hash of
 // the first 100k packed ops of a fixed stream, captured while the stream
 // was proven byte-identical to the pre-batching generator by old-vs-new
-// binary diffs (PR 4). TestNextBatchMatchesNext proves Next == NextBatch,
-// but both share gen(), so only an absolute pin like this catches a
-// future gen() edit that reorders or drops an RNG draw in both paths at
-// once.
+// binary diffs. TestNextBatchMatchesNext proves every refill size
+// gives the same ops, but all share gen(), so only an absolute pin like
+// this catches a future gen() edit that reorders or drops an RNG draw in
+// every path at once.
 func TestStreamGolden(t *testing.T) {
 	const want = uint64(0x680c5f7e54bf750b)
 	s := NewStream(WebSearch(), 2, 16, 32, 42)
 	var op Op
 	h := uint64(1469598103934665603) // FNV-64 offset basis
 	for i := 0; i < 100000; i++ {
-		s.Next(&op)
+		nextOp(s, &op)
 		for _, w := range [2]uint64{op.IWord, op.DWord} {
 			for b := 0; b < 64; b += 8 {
 				h ^= w >> b & 0xFF
